@@ -10,8 +10,7 @@
 //
 // The AP speaks only control-plane RPCs (registration, attestation,
 // key/round dispatch), which stay on the gob codec; the fixed-layout
-// binary fragment codec (-wire on parties and aggregators) never appears
-// on this daemon's connections, so it takes no -wire flag. Round
+// binary fragment codec never appears on this daemon's connections. Round
 // lifecycle and party liveness are likewise aggregator-side concerns
 // (-round-deadline/-grace/-heartbeat on deta-aggregator, -heartbeat on
 // deta-party): the AP is stateless about rounds beyond issuing their IDs,

@@ -26,13 +26,11 @@ import (
 	"strings"
 	"time"
 
-	"deta/internal/attest"
 	"deta/internal/core"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
 	"deta/internal/rng"
-	"deta/internal/tensor"
 	"deta/internal/transport"
 )
 
@@ -59,24 +57,14 @@ func main() {
 	noShuffle := flag.Bool("no-shuffle", false, "disable parameter shuffling (partition only)")
 	callTimeout := flag.Duration("call-timeout", 30*time.Second, "deadline for each aggregator RPC attempt (0 = none)")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "total budget for dialing the AP and each aggregator (with backoff)")
-	roundTimeout := flag.Duration("round-timeout", 5*time.Minute, "deadline for one full round's download phase")
+	roundTimeout := flag.Duration("round-timeout", 5*time.Minute, "how long one failing round step (Phase II, upload, download) is re-driven before giving up")
 	aggQuorum := flag.Int("agg-quorum", 0, "minimum aggregators that must answer per round (0 = all); below K degrades, never hangs")
 	keepalive := flag.Duration("keepalive", 0, "aggregator link health-check interval (0 = off)")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness heartbeat interval to every aggregator (match the fleet's -heartbeat; 0 = off)")
-	wire := flag.String("wire", "binary", "fragment wire codec: binary (fixed-layout) or gob (legacy rollback)")
 	flag.Parse()
 
 	log.SetPrefix(fmt.Sprintf("deta-party[%s]: ", *id))
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
-
-	switch *wire {
-	case "binary":
-		transport.SetBinaryWire(true)
-	case "gob":
-		transport.SetBinaryWire(false)
-	default:
-		log.Fatalf("unknown -wire %q (want binary or gob)", *wire)
-	}
 
 	if *index < 0 || *index >= *parties {
 		log.Fatalf("index %d out of range [0,%d)", *index, *parties)
@@ -105,13 +93,13 @@ func main() {
 			a.C.EnableKeepAlive(*keepalive, *callTimeout)
 		}
 	}
-	fleet := &core.Fleet{Clients: clients, Quorum: *aggQuorum, Timeout: *callTimeout}
+	fleet := &core.Fleet{Clients: clients, Quorum: *aggQuorum, Timeout: *callTimeout, Clock: clk}
+	driver := &core.PartyDriver{ID: *id, Fleet: fleet, Shuffle: !*noShuffle, RoundTimeout: *roundTimeout, Logf: log.Printf}
 
 	// Phase II: verify every aggregator's token in parallel before
 	// registering. A failed *verification* aborts even under quorum.
 	ctx := context.Background()
-	tokenPubKey := func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }
-	if err := fleet.VerifyAndRegisterAll(ctx, *id, tokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+	if err := driver.Join(ctx, func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }); err != nil {
 		log.Fatalf("refusing to train: %v", err)
 	}
 	log.Printf("verified and registered with %d aggregators", fleet.K())
@@ -138,7 +126,7 @@ func main() {
 	// to confirm the broker issued everyone the same key, without any log
 	// ever containing key bytes (enforced by the keytaint analyzer).
 	log.Printf("permutation key received (fp %s)", rng.Fingerprint(permKey))
-	shuffler, err := core.NewShuffler(permKey)
+	driver.Shuffler, err = core.NewShuffler(permKey)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,7 +146,7 @@ func main() {
 
 	// Shared mapper: equal proportions across the fleet.
 	model := build()
-	mapper, err := core.NewMapper(model.NumParams(), core.EqualProportions(len(order)), []byte(*mapperSeed))
+	driver.Mapper, err = core.NewMapper(model.NumParams(), core.EqualProportions(len(order)), []byte(*mapperSeed))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -177,92 +165,23 @@ func main() {
 		if err != nil {
 			log.Fatalf("round %d: local training: %v", round, err)
 		}
-		frags, err := core.Transform(mapper, shuffler, update, roundID, !*noShuffle)
+		// Upload to every aggregator, then download and merge once the
+		// initiator has fused; a round the whole fleet abandoned is
+		// skipped, leaving the global model unchanged.
+		merged, err := driver.Round(ctx, round, roundID, update, float64(shard.Len()))
+		if errors.Is(err, core.ErrRoundAbandoned) {
+			log.Printf("round %d: abandoned by the fleet; skipping: %v", round, err)
+			continue
+		}
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("round %d: %v", round, err)
 		}
-		// Fan the K fragment uploads out concurrently (quorum-tolerant),
-		// re-driving the whole fan-out until the round deadline: uploads
-		// are idempotent server-side, so a crashed-and-restarted
-		// aggregator (journal recovery + Redial) is simply retried into.
-		if err := retryStep(ctx, *roundTimeout, round, "upload", func(ctx context.Context) error {
-			return fleet.UploadAll(ctx, round, *id, frags, float64(shard.Len()))
-		}); err != nil {
-			if errors.Is(err, core.ErrRoundAbandoned) {
-				log.Printf("round %d: abandoned by the fleet; skipping: %v", round, err)
-				for _, frag := range frags {
-					tensor.PutVector(frag)
-				}
-				continue
-			}
-			log.Fatalf("round %d: upload: %v", round, err)
-		}
-		// Download aggregated fragments in parallel (the initiator fuses
-		// once enough parties upload; DownloadAll polls until available).
-		// An aggregator lost this round degrades to the party's own
-		// fragment for its partition; a round the whole fleet abandoned
-		// is skipped, leaving the global model unchanged.
-		var merged []tensor.Vector
-		if err := retryStep(ctx, *roundTimeout, round, "download", func(ctx context.Context) error {
-			var derr error
-			merged, derr = fleet.DownloadAll(ctx, round, *id, frags)
-			return derr
-		}); err != nil {
-			if errors.Is(err, core.ErrRoundAbandoned) {
-				log.Printf("round %d: abandoned by the fleet; skipping: %v", round, err)
-				for _, frag := range frags {
-					tensor.PutVector(frag)
-				}
-				continue
-			}
-			log.Fatalf("round %d: download: %v", round, err)
-		}
-		global, err = core.InverseTransform(mapper, shuffler, merged, roundID, !*noShuffle)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Hand the round's fragment buffers back to the tensor pool. Only the
-		// upload-side frags go back: merged fragments may alias them (quorum
-		// fallback substitutes the party's own fragment), and pooling one
-		// buffer twice would hand it out twice.
-		for _, frag := range frags {
-			tensor.PutVector(frag)
-		}
+		global = merged
 		log.Printf("round %d done: local train loss %.4f", round, loss)
 	}
 	log.Printf("training complete (%d rounds)", *rounds)
 	for _, aggID := range order {
 		log.Printf("link %s: %s", aggID, fleet.Stats()[aggID])
-	}
-}
-
-// retryStep re-drives one round step (a whole fan-out) with jittered
-// backoff until it succeeds or the round deadline expires. Safe because
-// uploads are idempotent and downloads are reads. A verification failure
-// is never retried — an unverifiable aggregator is an adversary.
-func retryStep(ctx context.Context, timeout time.Duration, round int, what string, op func(ctx context.Context) error) error {
-	rctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	b := transport.Backoff{Initial: 20 * time.Millisecond, Max: time.Second}
-	var last error
-	for i := 0; ; i++ {
-		if last = op(rctx); last == nil {
-			return nil
-		}
-		if errors.Is(last, core.ErrVerificationFailed) {
-			return last
-		}
-		if errors.Is(last, core.ErrRoundAbandoned) {
-			// The fleet gave up on this round below quorum; retrying
-			// cannot resurrect it — the round loop skips it instead.
-			return last
-		}
-		log.Printf("round %d: %s failed (retrying): %v", round, what, last)
-		select {
-		case <-rctx.Done():
-			return fmt.Errorf("%s: %w (last error: %v)", what, rctx.Err(), last)
-		case <-clk.After(b.Delay(i)):
-		}
 	}
 }
 

@@ -422,7 +422,7 @@ func (a *AggregatorNode) DropRound(round int) {
 
 // evictLocked applies the retention policy after round `latest` fused.
 // Pure function of (rounds, retention, latest), so journal replay — which
-// re-runs it from the recAggregate records — reproduces the same bounded
+// re-runs it from the recAggregate2 records — reproduces the same bounded
 // map without eviction records of its own. Callers must hold a.mu.
 func (a *AggregatorNode) evictLocked(latest int) {
 	if a.retention <= 0 {

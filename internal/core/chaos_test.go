@@ -10,10 +10,7 @@ import (
 
 	"deta/internal/agg"
 	"deta/internal/attest"
-	"deta/internal/dataset"
-	"deta/internal/fl"
 	"deta/internal/journal"
-	"deta/internal/nn"
 	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
@@ -42,12 +39,17 @@ type chaosAgg struct {
 	// lifecycle/liveness settings and clocks are boot flags, not journal
 	// state, so a restarted process must re-arm them.
 	configure func(*AggregatorNode)
+	// followers, when non-empty, makes this process the initiator: like
+	// deta-aggregator -initiator, every boot runs Initiator.Run over RPC
+	// to the followers, resuming at the recovered LastAggregatedRound()+1.
+	followers []*chaosAgg
 
-	mu   sync.Mutex
-	gen  int
-	node *AggregatorNode
-	srv  *transport.Server
-	ln   *transport.MemListener
+	mu       sync.Mutex
+	gen      int
+	node     *AggregatorNode
+	srv      *transport.Server
+	ln       *transport.MemListener
+	stopSync func() // stops this boot's initiator and waits for it
 }
 
 func (c *chaosAgg) start() error {
@@ -77,6 +79,20 @@ func (c *chaosAgg) start() error {
 	ln := transport.NewMemListener()
 	go srv.Serve(ln)
 	c.node, c.srv, c.ln = node, srv, ln
+	c.stopSync = func() {}
+	if len(c.followers) > 0 {
+		initiator := &Initiator{Node: node, Followers: chaosClients(c.followers), PeerTimeout: 10 * time.Second}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			initiator.Run(ctx, node.LastAggregatedRound()+1)
+		}()
+		c.stopSync = func() {
+			cancel()
+			<-done
+		}
+	}
 	return nil
 }
 
@@ -84,6 +100,7 @@ func (c *chaosAgg) start() error {
 // node discarded) and boots a replacement from the journal.
 func (c *chaosAgg) restart() error {
 	c.mu.Lock()
+	c.stopSync()
 	c.srv.Close()
 	c.node.CloseJournal()
 	c.mu.Unlock()
@@ -103,15 +120,30 @@ func (c *chaosAgg) dialCurrent() (net.Conn, error) {
 	return ln.Dial()
 }
 
+// chaosClients returns one fault-free client per process, each redialing
+// whatever server the process currently runs.
+func chaosClients(procs []*chaosAgg) []*AggregatorClient {
+	clients := make([]*AggregatorClient, len(procs))
+	for j, c := range procs {
+		clients[j] = &AggregatorClient{
+			ID:     c.id,
+			Redial: func(context.Context) (net.Conn, error) { return c.dialCurrent() },
+		}
+	}
+	return clients
+}
+
 func (c *chaosAgg) stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stopSync()
 	c.srv.Close()
 	c.node.CloseJournal()
 }
 
 // runChaosFederation runs a full 2-party/3-aggregator/3-round federation
-// over in-memory transports and returns the final global model. With
+// over in-memory transports — parties on PartyDriver, agg-1 running the
+// Initiator — and returns the final global model. With
 // faulty=true, every party↔aggregator connection injects drops, delays,
 // and severs from a deterministic seed, and two aggregators are killed and
 // restarted mid-round; the journal plus idempotent retries must make the
@@ -119,18 +151,19 @@ func (c *chaosAgg) stop() {
 func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 	t.Helper()
 
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	proxy, vendor := testTrust(t)
 
+	// agg-1 is the initiator. Followers boot first so its sync loop can
+	// reach them.
 	procs := make([]*chaosAgg, chaosAggs)
 	for j := range procs {
 		procs[j] = &chaosAgg{
 			id: fmt.Sprintf("agg-%d", j+1), dir: t.TempDir(),
 			proxy: proxy, vendor: vendor,
 		}
+	}
+	procs[0].followers = procs[1:]
+	for j := len(procs) - 1; j >= 0; j-- {
 		if err := procs[j].start(); err != nil {
 			t.Fatal(err)
 		}
@@ -146,45 +179,6 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 		}
 	}
 
-	// Initiator sync loop over the *current* nodes: a restarted aggregator
-	// is picked up on the next poll, and Aggregate is idempotent, so a
-	// round interrupted by a restart is simply re-driven.
-	stopSync := make(chan struct{})
-	defer close(stopSync)
-	go func() {
-		round := 1
-		for round <= chaosRounds {
-			select {
-			case <-stopSync:
-				return
-			default:
-			}
-			nodes := make([]*AggregatorNode, chaosAggs)
-			all := true
-			for j, c := range procs {
-				nodes[j] = c.getNode()
-				if !nodes[j].Complete(round) {
-					all = false
-					break
-				}
-			}
-			if all {
-				fusedAll := true
-				for _, n := range nodes {
-					if err := n.Aggregate(round); err != nil {
-						fusedAll = false // e.g. node replaced mid-pass; retry
-						break
-					}
-				}
-				if fusedAll {
-					round++
-					continue
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
 	broker, err := attest.NewKeyBroker(32)
 	if err != nil {
 		t.Fatal(err)
@@ -192,33 +186,7 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 	for p := 0; p < chaosParties; p++ {
 		broker.RegisterParty(fmt.Sprintf("P%d", p+1))
 	}
-
-	spec := dataset.Spec{Name: "chaos", C: 1, H: 12, W: 12, Classes: 4}
-	train, _ := dataset.TrainTest(spec, chaosParties*16, 8, []byte("chaos-data"))
-	shards := dataset.SplitIID(train, chaosParties, []byte("chaos-split"))
-	build := func() *nn.Network { return nn.ConvNet8(1, 12, 12, 4) }
-	cfg := fl.Config{
-		Mode: fl.FedAvg, Rounds: chaosRounds, LocalEpochs: 1, BatchSize: 8,
-		LR: 0.05, Momentum: 0.9, Seed: []byte("chaos-cfg"),
-	}
-
-	// retry re-drives a whole fan-out step until it succeeds or the party
-	// deadline expires — safe because uploads are idempotent and Aggregate/
-	// Download are read-or-no-op on re-delivery.
-	retry := func(ctx context.Context, what string, op func(context.Context) error) error {
-		b := transport.Backoff{Initial: 2 * time.Millisecond, Max: 100 * time.Millisecond}
-		var last error
-		for i := 0; ; i++ {
-			if last = op(ctx); last == nil {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("%s: %w (last error: %v)", what, ctx.Err(), last)
-			case <-time.After(b.Delay(i)):
-			}
-		}
-	}
+	w := newFedWorkload(t, "chaos", chaosParties, chaosAggs, chaosRounds)
 
 	runParty := func(idx int) (tensor.Vector, error) {
 		id := fmt.Sprintf("P%d", idx+1)
@@ -239,105 +207,39 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 				Redial: func(context.Context) (net.Conn, error) { return dial() },
 			}
 		}
-		// A short per-call timeout classifies dropped writes (request sent,
-		// connection silently dead) as failures quickly so retries re-drive
-		// them.
-		fleet := &Fleet{Clients: clients, Timeout: 2 * time.Second}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-
-		if err := retry(ctx, "phase II", func(ctx context.Context) error {
-			return fleet.VerifyAndRegisterAll(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge)
-		}); err != nil {
-			return nil, err
-		}
 		permKey, err := broker.PermutationKey(id)
 		if err != nil {
 			return nil, err
 		}
-		shuffler, err := NewShuffler(permKey)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		// A short per-call timeout classifies dropped writes (request sent,
+		// connection silently dead) as failures quickly so the driver
+		// re-drives them.
+		d, err := w.join(ctx, id, &Fleet{Clients: clients, Timeout: 2 * time.Second}, permKey, proxy.TokenPubKey, time.Minute)
 		if err != nil {
 			return nil, err
 		}
-		party := fl.NewParty(id, build, shards[idx], cfg)
-		mapper, err := NewMapper(build().NumParams(), EqualProportions(chaosAggs), []byte("chaos-mapper"))
-		if err != nil {
-			return nil, err
-		}
-		net := build()
-		net.Init([]byte("chaos-init"))
-		global := net.Params()
-
-		for round := 1; round <= chaosRounds; round++ {
-			roundID, err := broker.RoundID(round)
-			if err != nil {
-				return nil, err
+		return w.train(ctx, idx, d, broker.RoundID, func(round int, step string) error {
+			if !faulty || idx != 0 || round != 2 {
+				return nil
 			}
-			update, _, err := party.LocalUpdate(global, round)
-			if err != nil {
-				return nil, err
+			if step == "upload" {
+				// Kill+restart aggregator 1 — the initiator — mid-round:
+				// this party's round-2 fragments are journaled but maybe
+				// not yet fused (the other party may still be uploading).
+				// The recovered node must resume the round from its WAL,
+				// and its initiator must resume sync from its journal.
+				return procs[0].restart()
 			}
-			frags, err := Transform(mapper, shuffler, update, roundID, true)
-			if err != nil {
-				return nil, err
-			}
-			if err := retry(ctx, fmt.Sprintf("round %d upload", round), func(ctx context.Context) error {
-				return fleet.UploadAll(ctx, round, id, frags, float64(shards[idx].Len()))
-			}); err != nil {
-				return nil, err
-			}
-			if faulty && idx == 0 && round == 2 {
-				// Kill+restart aggregator 1 mid-round: this party's round-2
-				// fragments are journaled but not yet fused (the other
-				// party may still be uploading). The recovered node must
-				// resume the round from its WAL.
-				if err := procs[0].restart(); err != nil {
-					return nil, fmt.Errorf("restarting agg-1: %w", err)
-				}
-			}
-			var merged []tensor.Vector
-			if err := retry(ctx, fmt.Sprintf("round %d download", round), func(ctx context.Context) error {
-				dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-				defer cancel()
-				var derr error
-				merged, derr = fleet.DownloadAll(dctx, round, id, nil)
-				return derr
-			}); err != nil {
-				return nil, err
-			}
-			if faulty && idx == 0 && round == 2 {
-				// Kill+restart aggregator 2 after fusion: the other party
-				// has yet to download round 2 from it, so the recovered
-				// node must serve the journaled aggregated vector
-				// bit-identically.
-				if err := procs[1].restart(); err != nil {
-					return nil, fmt.Errorf("restarting agg-2: %w", err)
-				}
-			}
-			global, err = InverseTransform(mapper, shuffler, merged, roundID, true)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return global, nil
+			// Kill+restart aggregator 2 after fusion: the other party may
+			// have yet to download round 2 from it, so the recovered node
+			// must serve the journaled aggregated vector bit-identically.
+			return procs[1].restart()
+		})
 	}
 
-	var wg sync.WaitGroup
-	finals := make([]tensor.Vector, chaosParties)
-	errs := make([]error, chaosParties)
-	for p := 0; p < chaosParties; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			finals[p], errs[p] = runParty(p)
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("party %d (faulty=%v): %v", p+1, faulty, err)
-		}
-	}
+	finals := trainParties(t, chaosParties, runParty)
 	for i := range finals[0] {
 		if finals[0][i] != finals[1][i] {
 			t.Fatalf("parties disagree on the global model at coordinate %d (faulty=%v)", i, faulty)

@@ -4,6 +4,7 @@ package core
 // evicted by the liveness tracker, the survivors fuse degraded rounds, an
 // aggregator is killed and restarted with the eviction on its WAL, and the
 // dead party rejoins and catches up — all parties end bit-identical.
+// Parties run the PartyDriver and agg-1's Initiator fuses each round.
 //
 // All lifecycle time is fake-clock-driven (the test advances every
 // aggregator's clock explicitly); the orchestration is sequential, so
@@ -12,15 +13,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	"deta/internal/attest"
-	"deta/internal/dataset"
 	"deta/internal/fl"
-	"deta/internal/nn"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
@@ -30,11 +27,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 		churnAggs    = 3
 		churnRounds  = 4
 	)
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	proxy, vendor := testTrust(t)
 
 	// Every aggregator gets its own fake clock, surviving restarts: the
 	// configure hook re-arms clock + lifecycle + liveness on recovery,
@@ -68,112 +61,73 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dataset.Spec{Name: "churn", C: 1, H: 12, W: 12, Classes: 4}
-	train, _ := dataset.TrainTest(spec, churnParties*16, 8, []byte("churn-data"))
-	shards := dataset.SplitIID(train, churnParties, []byte("churn-split"))
-	build := func() *nn.Network { return nn.ConvNet8(1, 12, 12, 4) }
-	cfg := fl.Config{
-		Mode: fl.FedAvg, Rounds: churnRounds, LocalEpochs: 1, BatchSize: 8,
-		LR: 0.05, Momentum: 0.9, Seed: []byte("churn-cfg"),
-	}
-	mapper, err := NewMapper(build().NumParams(), EqualProportions(churnAggs), []byte("churn-mapper"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newFedWorkload(t, "churn", churnParties, churnAggs, churnRounds)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	type churnParty struct {
-		id       string
-		fl       *fl.Party
-		fleet    *Fleet
-		shuffler *Shuffler
-		global   tensor.Vector
-		weight   float64
+		*PartyDriver
+		fl     *fl.Party
+		global tensor.Vector
+		weight float64
+		frags  []tensor.Vector // fragments uploaded this round, for Download
 	}
 	ps := make([]*churnParty, churnParties)
 	for i := range ps {
 		id := fmt.Sprintf("P%d", i+1)
 		broker.RegisterParty(id)
-		clients := make([]*AggregatorClient, churnAggs)
-		for j, c := range procs {
-			dial := c.dialCurrent
-			clients[j] = &AggregatorClient{
-				ID:     c.id,
-				Redial: func(context.Context) (net.Conn, error) { return dial() },
-			}
-		}
-		fleet := &Fleet{Clients: clients, Timeout: 5 * time.Second}
-		if err := fleet.VerifyAndRegisterAll(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
-			t.Fatal(err)
-		}
 		permKey, err := broker.PermutationKey(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shuffler, err := NewShuffler(permKey)
+		d, err := w.join(ctx, id, &Fleet{Clients: chaosClients(procs), Timeout: 5 * time.Second}, permKey, proxy.TokenPubKey, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		netw := build()
-		netw.Init([]byte("churn-init"))
 		ps[i] = &churnParty{
-			id: id, fl: fl.NewParty(id, build, shards[i], cfg),
-			fleet: fleet, shuffler: shuffler,
-			global: netw.Params(), weight: float64(shards[i].Len()),
+			PartyDriver: d, fl: fl.NewParty(id, w.build, w.shards[i], w.cfg),
+			global: w.initParams(), weight: float64(w.shards[i].Len()),
 		}
 	}
+	// agg-1 is the initiator; it is never restarted here.
+	initiator := &Initiator{Node: procs[0].getNode(), Followers: chaosClients(procs[1:])}
 
-	frags := func(p *churnParty, round int) []tensor.Vector {
-		roundID, err := broker.RoundID(round)
+	roundID := func(round int) []byte {
+		id, err := broker.RoundID(round)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return id
+	}
+	localUpdate := func(p *churnParty, round int) tensor.Vector {
 		update, _, err := p.fl.LocalUpdate(p.global, round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := Transform(mapper, p.shuffler, update, roundID, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr
+		return update
 	}
 	upload := func(p *churnParty, round int) {
-		if err := p.fleet.UploadAll(ctx, round, p.id, frags(p, round), p.weight); err != nil {
-			t.Fatalf("%s upload round %d: %v", p.id, round, err)
+		var err error
+		if p.frags, err = p.Upload(ctx, round, roundID(round), localUpdate(p, round), p.weight); err != nil {
+			t.Fatalf("%s upload round %d: %v", p.ID, round, err)
 		}
 	}
 	fuse := func(round int) {
-		for _, c := range procs {
-			node := c.getNode()
-			done, abandoned := node.RoundStatus(round)
-			if !done || abandoned {
-				t.Fatalf("%s round %d: RoundStatus = (%v, %v), want complete", c.id, round, done, abandoned)
-			}
-			if err := node.Aggregate(round); err != nil {
-				t.Fatalf("%s aggregate round %d: %v", c.id, round, err)
-			}
+		if err := initiator.Fuse(ctx, round); err != nil {
+			t.Fatalf("fuse round %d: %v", round, err)
 		}
 	}
 	download := func(p *churnParty, round int) {
-		roundID, err := broker.RoundID(round)
-		if err != nil {
-			t.Fatal(err)
+		var err error
+		if p.global, err = p.Download(ctx, round, roundID(round), p.frags); err != nil {
+			t.Fatalf("%s download round %d: %v", p.ID, round, err)
 		}
-		merged, err := p.fleet.DownloadAll(ctx, round, p.id, nil)
-		if err != nil {
-			t.Fatalf("%s download round %d: %v", p.id, round, err)
-		}
-		p.global, err = InverseTransform(mapper, p.shuffler, merged, roundID, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p.frags = nil
 	}
 	heartbeat := func(p *churnParty) []string {
-		acked, rejoinedAt := p.fleet.HeartbeatAll(ctx, p.id)
+		acked, rejoinedAt := p.Fleet.HeartbeatAll(ctx, p.ID)
 		if acked != churnAggs {
-			t.Fatalf("%s heartbeat acked by %d/%d aggregators", p.id, acked, churnAggs)
+			t.Fatalf("%s heartbeat acked by %d/%d aggregators", p.ID, acked, churnAggs)
 		}
 		return rejoinedAt
 	}
@@ -191,8 +145,11 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	// only, then dies mid-round.
 	upload(ps[0], 2)
 	upload(ps[1], 2)
-	p3frags := frags(ps[2], 2)
-	if err := ps[2].fleet.Clients[0].UploadFrag(ctx, 2, ps[2].id, p3frags[0], 0, ps[2].weight); err != nil {
+	p3frags, err := Transform(w.mapper, ps[2].Shuffler, localUpdate(ps[2], 2), roundID(2), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps[2].Fleet.Clients[0].UploadFrag(ctx, 2, ps[2].ID, p3frags[0], 0, ps[2].weight); err != nil {
 		t.Fatalf("P3 partial upload: %v", err)
 	}
 	// P3 is now silent. The survivors keep heartbeating while the clocks
@@ -277,7 +234,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 		for k := range ps[0].global {
 			if ps[i].global[k] != ps[0].global[k] {
 				t.Fatalf("P1 and %s diverge at coordinate %d: %v vs %v",
-					ps[i].id, k, ps[0].global[k], ps[i].global[k])
+					ps[i].ID, k, ps[0].global[k], ps[i].global[k])
 			}
 		}
 	}

@@ -93,8 +93,13 @@ func (f *Fleet) required() int {
 }
 
 func (f *Fleet) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if f.Timeout > 0 {
-		return context.WithTimeout(ctx, f.Timeout)
+	return boundCtx(ctx, f.Timeout)
+}
+
+// boundCtx derives a context bounded by d, or only by ctx when d <= 0.
+func boundCtx(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
 	}
 	return context.WithCancel(ctx)
 }

@@ -20,18 +20,7 @@ import (
 // AP provisioning (which seals the token into encrypted memory).
 func newProvisionedNode(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, id string) *AggregatorNode {
 	t.Helper()
-	platform, err := sev.NewPlatform("host/"+id, vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proxy.Provision(id, platform, cvm); err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, cvm)
+	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +31,19 @@ func newProvisionedNode(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, i
 // client. The server is shut down on test cleanup.
 func serveNode(t *testing.T, node *AggregatorNode) *AggregatorClient {
 	t.Helper()
+	_, ln := serveMem(t, node)
+	return dialClient(t, ln, node.ID)
+}
+
+// serveMem serves node's protocol on a fresh in-memory listener until
+// test cleanup.
+func serveMem(t *testing.T, node *AggregatorNode) (*transport.Server, *transport.MemListener) {
 	srv := transport.NewServer()
 	ServeAggregator(node, srv)
 	ln := transport.NewMemListener()
 	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return dialClient(t, ln, node.ID)
+	t.Cleanup(srv.Close)
+	return srv, ln
 }
 
 // stalledClient returns a client whose server accepts every aggregator
@@ -112,11 +108,7 @@ func testFrags(k int) []tensor.Vector {
 // completes the round — with the stalled aggregator's partition degraded
 // to the party's own fragment — well inside the round deadline.
 func TestFleetDegradesWhenAggregatorStalls(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	proxy, vendor := testTrust(t)
 
 	healthy := make([]*AggregatorNode, 2)
 	clients := make([]*AggregatorClient, 3)
@@ -178,11 +170,7 @@ func TestFleetDegradesWhenAggregatorStalls(t *testing.T) {
 // phase: the dead link fails fast (sticky connection error, no timeout
 // wait), and the download degrades to the fallback fragment under quorum.
 func TestFleetDegradesWhenAggregatorDies(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	proxy, vendor := testTrust(t)
 
 	nodes := make([]*AggregatorNode, 3)
 	clients := make([]*AggregatorClient, 3)
@@ -190,12 +178,8 @@ func TestFleetDegradesWhenAggregatorDies(t *testing.T) {
 	for j := range nodes {
 		nodes[j] = newProvisionedNode(t, proxy, vendor, fmt.Sprintf("agg-%d", j+1))
 		nodes[j].Register("P1")
-		srv := transport.NewServer()
-		ServeAggregator(nodes[j], srv)
-		ln := transport.NewMemListener()
-		go srv.Serve(ln)
-		srvs[j] = srv
-		t.Cleanup(func() { srv.Close() })
+		var ln *transport.MemListener
+		srvs[j], ln = serveMem(t, nodes[j])
 		clients[j] = dialClient(t, ln, nodes[j].ID)
 	}
 
@@ -232,11 +216,7 @@ func TestFleetDegradesWhenAggregatorDies(t *testing.T) {
 // TestFleetQuorumUnmet: with Quorum=3 (all required), one dead aggregator
 // must fail the fan-out with a quorum error rather than degrade.
 func TestFleetQuorumUnmet(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	proxy, vendor := testTrust(t)
 	node := newProvisionedNode(t, proxy, vendor, "agg-1")
 	node.Register("P1")
 
@@ -246,7 +226,7 @@ func TestFleetQuorumUnmet(t *testing.T) {
 		deadClient(t, "agg-3"),
 	}
 	fleet := &Fleet{Clients: clients, Quorum: 3, Timeout: time.Second}
-	err = fleet.UploadAll(context.Background(), 1, "P1", testFrags(3), 1)
+	err := fleet.UploadAll(context.Background(), 1, "P1", testFrags(3), 1)
 	if err == nil {
 		t.Fatal("upload succeeded with 2 of 3 aggregators dead and quorum 3")
 	}
@@ -297,11 +277,7 @@ func TestVerifyAndRegisterFailsFast(t *testing.T) {
 // challenge with an unverifiable token aborts the whole bootstrap even
 // when the quorum would otherwise be met.
 func TestVerifyAndRegisterAllRejectsUnverifiableAggregator(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	proxy, vendor := testTrust(t)
 
 	clients := make([]*AggregatorClient, 3)
 	for j := 0; j < 3; j++ {
@@ -317,7 +293,7 @@ func TestVerifyAndRegisterAllRejectsUnverifiableAggregator(t *testing.T) {
 		}
 		return proxy.TokenPubKey(id)
 	}
-	err = fleet.VerifyAndRegisterAll(context.Background(), "P1", tokenPubKey,
+	err := fleet.VerifyAndRegisterAll(context.Background(), "P1", tokenPubKey,
 		attest.NewNonce, attest.VerifyChallenge)
 	if err == nil {
 		t.Fatal("bootstrap accepted an unverifiable aggregator under quorum")

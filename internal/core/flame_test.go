@@ -40,19 +40,8 @@ func TestFLAMEFiltersPoisonAcrossPartitions(t *testing.T) {
 	ap := attest.NewProxy(vendor.RAS(), OVMF)
 	nodes := make([]*AggregatorNode, 3)
 	for j := range nodes {
-		platform, err := sev.NewPlatform("h", vendor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cvm, err := platform.LaunchCVM(OVMF)
-		if err != nil {
-			t.Fatal(err)
-		}
 		id := fmt.Sprintf("agg-%d", j+1)
-		if _, err := ap.Provision(id, platform, cvm); err != nil {
-			t.Fatal(err)
-		}
-		nodes[j], err = NewAggregatorNode(id, agg.FLAMELite{}, cvm)
+		nodes[j], err = NewAggregatorNode(id, agg.FLAMELite{}, provisionCVM(t, ap, vendor, id))
 		if err != nil {
 			t.Fatal(err)
 		}

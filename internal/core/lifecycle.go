@@ -89,6 +89,17 @@ func (a *AggregatorNode) nowLocked() time.Time {
 	return a.clock.Now()
 }
 
+// clk returns the node's clock (SystemClock when none is injected); the
+// Initiator driving this node waits on it.
+func (a *AggregatorNode) clk() Clock {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.clock == nil {
+		return SystemClock
+	}
+	return a.clock
+}
+
 // SetLifecycle configures the per-round deadline and the post-quorum grace
 // window. A round seals (stops accepting stragglers) at
 // min(openedAt+deadline, quorumAt+grace), or immediately once every

@@ -17,17 +17,17 @@ import (
 
 var lifecycleEpoch = time.Unix(1_000_000, 0)
 
-// lifecycleNode builds an in-memory node on a fake clock.
-func lifecycleNode(t *testing.T, id string) (*AggregatorNode, *FakeClock) {
+// lifecycleNode builds an in-memory node on a fake clock with parties
+// registered.
+func lifecycleNode(t *testing.T, id string, parties ...string) (*AggregatorNode, *FakeClock) {
 	t.Helper()
 	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, id)
-	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, cvm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := newProvisionedNode(t, proxy, vendor, id)
 	clk := NewFakeClock(lifecycleEpoch)
 	node.SetClock(clk)
+	for _, p := range parties {
+		node.Register(p)
+	}
 	return node, clk
 }
 
@@ -55,10 +55,7 @@ func mustUpload(t *testing.T, node *AggregatorNode, round int, party string, v f
 // A round still below quorum at its deadline is abandoned: it reports the
 // typed error from every entry point instead of hanging the federation.
 func TestLifecycleAbandonBelowQuorum(t *testing.T) {
-	node, clk := lifecycleNode(t, "agg-lc1")
-	for _, p := range []string{"P1", "P2", "P3"} {
-		node.Register(p)
-	}
+	node, clk := lifecycleNode(t, "agg-lc1", "P1", "P2", "P3")
 	node.SetQuorum(2)
 	node.SetLifecycle(10*time.Second, time.Second)
 
@@ -96,10 +93,7 @@ func TestLifecycleAbandonBelowQuorum(t *testing.T) {
 // During the post-quorum grace window stragglers are still accepted, and a
 // round that reaches full participation seals immediately.
 func TestLifecycleGraceAcceptsStragglerThenSealsFull(t *testing.T) {
-	node, clk := lifecycleNode(t, "agg-lc2")
-	for _, p := range []string{"P1", "P2", "P3"} {
-		node.Register(p)
-	}
+	node, clk := lifecycleNode(t, "agg-lc2", "P1", "P2", "P3")
 	node.SetQuorum(2)
 	node.SetLifecycle(10*time.Second, 2*time.Second)
 
@@ -134,10 +128,7 @@ func TestLifecycleGraceAcceptsStragglerThenSealsFull(t *testing.T) {
 // Once the grace window expires the round seals: stragglers are cut with a
 // typed error, but identical retries of committed uploads stay idempotent.
 func TestLifecycleStragglerCutAfterGrace(t *testing.T) {
-	node, clk := lifecycleNode(t, "agg-lc3")
-	for _, p := range []string{"P1", "P2", "P3"} {
-		node.Register(p)
-	}
+	node, clk := lifecycleNode(t, "agg-lc3", "P1", "P2", "P3")
 	node.SetQuorum(2)
 	node.SetLifecycle(10*time.Second, time.Second)
 
@@ -173,10 +164,7 @@ func TestLifecycleStragglerCutAfterGrace(t *testing.T) {
 // With grace longer than the deadline, a round with quorum fuses at the
 // deadline — the hard cut — without its stragglers.
 func TestLifecycleSealsAtDeadlineWithQuorum(t *testing.T) {
-	node, clk := lifecycleNode(t, "agg-lc4")
-	for _, p := range []string{"P1", "P2", "P3"} {
-		node.Register(p)
-	}
+	node, clk := lifecycleNode(t, "agg-lc4", "P1", "P2", "P3")
 	node.SetQuorum(2)
 	node.SetLifecycle(10*time.Second, time.Minute)
 
@@ -198,10 +186,7 @@ func TestLifecycleSealsAtDeadlineWithQuorum(t *testing.T) {
 
 // Zero grace seals at the instant quorum is reached.
 func TestLifecycleZeroGraceSealsAtQuorum(t *testing.T) {
-	node, _ := lifecycleNode(t, "agg-lc5")
-	for _, p := range []string{"P1", "P2", "P3"} {
-		node.Register(p)
-	}
+	node, _ := lifecycleNode(t, "agg-lc5", "P1", "P2", "P3")
 	node.SetQuorum(2)
 	node.SetLifecycle(10*time.Second, 0)
 
@@ -238,10 +223,7 @@ func TestLifecycleDisabledKeepsLegacyBehavior(t *testing.T) {
 // Suspect is derived and ephemeral; evict is a journaled decision; a
 // liveness signal readmits the party.
 func TestLivenessSuspectEvictRejoin(t *testing.T) {
-	node, clk := lifecycleNode(t, "agg-lv1")
-	for _, p := range []string{"P1", "P2", "P3"} {
-		node.Register(p)
-	}
+	node, clk := lifecycleNode(t, "agg-lv1", "P1", "P2", "P3")
 	node.SetLiveness(3*time.Second, 8*time.Second)
 
 	clk.Advance(2 * time.Second)
@@ -316,10 +298,7 @@ func TestLivenessUploadRejoinsEvicted(t *testing.T) {
 // all-parties quorum reaches quorum the moment the dead third is evicted,
 // and fuses instead of hanging.
 func TestLivenessEvictionUnblocksRound(t *testing.T) {
-	node, clk := lifecycleNode(t, "agg-lv3")
-	for _, p := range []string{"P1", "P2", "P3"} {
-		node.Register(p)
-	}
+	node, clk := lifecycleNode(t, "agg-lv3", "P1", "P2", "P3")
 	node.SetLifecycle(time.Minute, time.Second)
 	node.SetLiveness(3*time.Second, 8*time.Second)
 

@@ -5,50 +5,16 @@ import (
 	"strings"
 	"testing"
 
-	"deta/internal/agg"
 	"deta/internal/attest"
-	"deta/internal/sev"
 	"deta/internal/tensor"
-	"deta/internal/transport"
 )
 
 // startNetAggregator provisions an aggregator CVM, serves its protocol on
 // an in-memory listener, and returns a connected client plus the proxy.
 func startNetAggregator(t *testing.T) (*AggregatorClient, *attest.Proxy) {
 	t.Helper()
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := sev.NewPlatform("net-host", vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := attest.NewProxy(vendor.RAS(), OVMF)
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ap.Provision("agg-net", platform, cvm); err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewAggregatorNode("agg-net", agg.IterativeAverage{}, cvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.NewServer()
-	ServeAggregator(node, srv)
-	ln := transport.NewMemListener()
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
-
-	conn, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := &AggregatorClient{ID: "agg-net", C: transport.NewClient(conn)}
-	t.Cleanup(func() { client.C.Close() })
-	return client, ap
+	proxy, vendor := testTrust(t)
+	return serveNode(t, newProvisionedNode(t, proxy, vendor, "agg-net")), proxy
 }
 
 func TestNetPhaseIIAndRound(t *testing.T) {
@@ -101,13 +67,8 @@ func TestNetPhaseIIAndRound(t *testing.T) {
 func TestNetPhaseIIRejectsWrongKey(t *testing.T) {
 	client, _ := startNetAggregator(t)
 	// A second, unrelated provisioning yields a different token key.
-	vendor, _ := sev.NewVendor()
-	platform, _ := sev.NewPlatform("other", vendor)
-	otherAP := attest.NewProxy(vendor.RAS(), OVMF)
-	cvm, _ := platform.LaunchCVM(OVMF)
-	if _, err := otherAP.Provision("agg-other", platform, cvm); err != nil {
-		t.Fatal(err)
-	}
+	otherAP, vendor := testTrust(t)
+	provisionCVM(t, otherAP, vendor, "agg-other")
 	wrongPub, _ := otherAP.TokenPubKey("agg-other")
 	err := VerifyAndRegister(context.Background(), client, wrongPub, "P1", attest.NewNonce, attest.VerifyChallenge)
 	if err == nil || !strings.Contains(err.Error(), "Phase II") {

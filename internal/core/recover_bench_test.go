@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/journal"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
@@ -15,23 +13,10 @@ import (
 // or "sync" (full fsync-on-commit, the -state-dir default).
 func benchUploadNode(b *testing.B, mode string) *AggregatorNode {
 	b.Helper()
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		b.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
-	platform, err := sev.NewPlatform("host/agg-bench", vendor)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := proxy.Provision("agg-bench", platform, cvm); err != nil {
-		b.Fatal(err)
-	}
+	proxy, vendor := testTrust(b)
+	cvm := provisionCVM(b, proxy, vendor, "agg-bench")
 	var node *AggregatorNode
+	var err error
 	switch mode {
 	case "none":
 		node, err = NewAggregatorNode("agg-bench", agg.IterativeAverage{}, cvm)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ import (
 // provisionCVM launches and provisions one CVM the way Session.Setup does,
 // returning it so a "restarted process" can build a fresh node against the
 // same journal.
-func provisionCVM(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, id string) *sev.CVM {
+func provisionCVM(t testing.TB, proxy *attest.Proxy, vendor *sev.Vendor, id string) *sev.CVM {
 	t.Helper()
 	platform, err := sev.NewPlatform("host/"+id, vendor)
 	if err != nil {
@@ -39,7 +40,7 @@ func provisionCVM(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, id stri
 	return cvm
 }
 
-func testTrust(t *testing.T) (*attest.Proxy, *sev.Vendor) {
+func testTrust(t testing.TB) (*attest.Proxy, *sev.Vendor) {
 	t.Helper()
 	vendor, err := sev.NewVendor()
 	if err != nil {
@@ -543,5 +544,38 @@ func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 	node.mu.Unlock()
 	if stored {
 		t.Fatal("failed journal append left P2's fragment in memory")
+	}
+}
+
+// Record types 2 and 3 — the pre-codec gob upload/aggregate records — are
+// retired: a journal holding one fails recovery as an unknown record type
+// instead of being replayed.
+func TestRecoverRejectsRetiredRecordTypes(t *testing.T) {
+	type legacyEvent struct {
+		Party  string
+		Round  int
+		Frag   []float64
+		Weight float64
+	}
+	proxy, vendor := testTrust(t)
+	for _, typ := range []uint8{2, 3} {
+		dir := t.TempDir()
+		j, _, err := journal.Open(dir, journal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := encodeWAL(legacyEvent{Party: "P1", Round: 1, Frag: []float64{1, 2}, Weight: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(typ, data); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		cvm := provisionCVM(t, proxy, vendor, fmt.Sprintf("agg-retired-%d", typ))
+		_, _, err = RecoverAggregatorNode("agg-retired", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
+		if err == nil || !strings.Contains(err.Error(), "unknown record type") {
+			t.Fatalf("record type %d: recovery = %v, want unknown record type", typ, err)
+		}
 	}
 }

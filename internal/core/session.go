@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"deta/internal/nn"
 	"deta/internal/sev"
 	"deta/internal/tensor"
+	"deta/internal/transport"
 )
 
 // OVMF is the firmware image all genuine aggregator CVMs boot in this
@@ -262,13 +264,27 @@ func (s *Session) Setup() error {
 }
 
 // Run executes training with the DeTA life cycle and returns the history.
-// Setup is invoked automatically if it has not been run.
+// Setup is invoked automatically if it has not been run. Rounds run
+// through the networked deployment's own drivers — each party's
+// PartyDriver and node 0's Initiator — over in-memory RPC, so the latency
+// the history reports includes the wire path. The servers are torn down
+// when Run returns.
+//
+//lint:ignore ctxflow Run mirrors fl.Session.Run; every RPC peer is an in-memory node this session owns and tears down on return, so there is no remote deadline to honor
 func (s *Session) Run() (*fl.History, error) {
 	if s.Nodes == nil {
 		if err := s.Setup(); err != nil {
 			return nil, err
 		}
 	}
+	drivers, initiator, stop, err := s.serve()
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	//lint:ignore ctxplumb the in-process session is its own entry point: it owns both ends of every in-memory RPC it makes
+	ctx := context.Background()
+
 	net := s.Build()
 	net.Init(s.InitSeed)
 	global := net.Params()
@@ -285,7 +301,7 @@ func (s *Session) Run() (*fl.History, error) {
 		// transforms its update and uploads fragments to all aggregators.
 		var trainLoss float64
 		participants := 0
-		for _, p := range s.Parties {
+		for i, p := range s.Parties {
 			if s.Availability != nil && !s.Availability(p.ID, round) {
 				continue // dropped out this round
 			}
@@ -295,52 +311,23 @@ func (s *Session) Run() (*fl.History, error) {
 				return nil, err
 			}
 			trainLoss += loss
-			frags, err := Transform(s.Mapper, s.Shuffler, update, roundID, s.Opts.Shuffle)
+			frags, err := drivers[i].Upload(ctx, round, roundID, update, float64(p.NumExamples()))
 			if err != nil {
 				return nil, err
 			}
-			// Fan the K fragment uploads out concurrently, as a
-			// networked party would (the aggregators are independent
-			// services).
-			var ug Group
-			for j, node := range s.Nodes {
-				j, node := j, node
-				ug.Go(func() error {
-					return node.Upload(round, p.ID, frags[j], float64(p.NumExamples()))
-				})
-			}
-			if err := ug.Wait(); err != nil {
-				return nil, err
-			}
+			putVectors(frags) // no fallback needed: in-memory aggregators never fail
 		}
 		if participants == 0 {
 			return nil, fmt.Errorf("core: round %d has no available parties", round)
 		}
 		trainLoss /= float64(participants)
 
-		// Initiator tells followers to aggregate their fragments. The
-		// aggregators are independent; run them concurrently as the
-		// deployment would.
-		if err := s.aggregateAll(round); err != nil {
+		// Initiator/follower synchronization, then the download: every
+		// party merges the same model, so one download stands for all.
+		if err := initiator.Fuse(ctx, round); err != nil {
 			return nil, err
 		}
-
-		// Parties download the aggregated fragments (in parallel — one
-		// per aggregator), reverse the transformation, and merge.
-		frags := make([]tensor.Vector, len(s.Nodes))
-		var dg Group
-		for j, node := range s.Nodes {
-			j, node := j, node
-			dg.Go(func() error {
-				var derr error
-				frags[j], derr = node.Download(round, s.Parties[0].ID)
-				return derr
-			})
-		}
-		if err := dg.Wait(); err != nil {
-			return nil, err
-		}
-		fused, err := InverseTransform(s.Mapper, s.Shuffler, frags, roundID, s.Opts.Shuffle)
+		fused, err := drivers[0].Download(ctx, round, roundID, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -366,15 +353,41 @@ func (s *Session) Run() (*fl.History, error) {
 	return hist, nil
 }
 
-// aggregateAll runs the initiator/follower synchronization: the initiator
-// (node 0) and the followers aggregate their rounds concurrently.
-func (s *Session) aggregateAll(round int) error {
-	var g Group
-	for _, node := range s.Nodes {
-		node := node
-		g.Go(func() error { return node.Aggregate(round) })
+// serve puts every node behind its own RPC server on an in-memory
+// listener, and returns one PartyDriver per party over a shared Fleet plus
+// the Initiator (node 0, with the other nodes as followers). stop closes
+// the clients and servers.
+func (s *Session) serve() (drivers []*PartyDriver, initiator *Initiator, stop func(), err error) {
+	var srvs []*transport.Server
+	clients := make([]*AggregatorClient, 0, len(s.Nodes))
+	stop = func() {
+		for _, c := range clients {
+			_ = c.C.Close() // in-memory pipe; nothing buffered to lose
+		}
+		for _, srv := range srvs {
+			srv.Close()
+		}
 	}
-	return g.Wait()
+	for _, node := range s.Nodes {
+		srv := transport.NewServer()
+		ServeAggregator(node, srv)
+		ln := transport.NewMemListener()
+		go srv.Serve(ln)
+		srvs = append(srvs, srv)
+		conn, err := ln.Dial()
+		if err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+		clients = append(clients, &AggregatorClient{ID: node.ID, C: transport.NewClient(conn)})
+	}
+	fleet := NewFleet(clients, s.Opts)
+	fleet.Clock = s.Clock
+	drivers = make([]*PartyDriver, len(s.Parties))
+	for i, p := range s.Parties {
+		drivers[i] = &PartyDriver{ID: p.ID, Fleet: fleet, Mapper: s.Mapper, Shuffler: s.Shuffler, Shuffle: s.Opts.Shuffle}
+	}
+	return drivers, &Initiator{Node: s.Nodes[0], Followers: clients[1:]}, stop, nil
 }
 
 func (s *Session) applyUpdate(global, fused tensor.Vector) tensor.Vector {

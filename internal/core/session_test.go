@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
@@ -100,34 +99,7 @@ func TestSetupValidation(t *testing.T) {
 // centralized FFL baseline, round for round — the paper's "no utility
 // loss" (Figures 5-7 show identical loss/accuracy curves).
 func TestDeTAMatchesCentralizedExactly(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Rounds = 3
-
-	psFFL, test := tinyParties(t, 4, cfg)
-	ffl := &fl.Session{
-		Cfg: cfg, Algorithm: agg.IterativeAverage{}, Build: tinyBuild,
-		Parties: psFFL, Test: test, InitSeed: []byte("shared-init"),
-	}
-	histFFL, err := ffl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	psDeTA, test2 := tinyParties(t, 4, cfg)
-	deta := &Session{
-		Cfg:          cfg,
-		Opts:         Options{NumAggregators: 3, Shuffle: true},
-		Build:        tinyBuild,
-		Parties:      psDeTA,
-		Test:         test2,
-		InitSeed:     []byte("shared-init"),
-		NewAlgorithm: func() agg.Algorithm { return agg.IterativeAverage{} },
-	}
-	histDeTA, err := deta.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	histFFL, histDeTA := trainBoth(t, 3, func() agg.Algorithm { return agg.IterativeAverage{} })
 	for i := range histFFL.Rounds {
 		a, b := histFFL.Rounds[i], histDeTA.Rounds[i]
 		if math.Abs(a.TrainLoss-b.TrainLoss) > 1e-9 {
@@ -145,12 +117,24 @@ func TestDeTAMatchesCentralizedExactly(t *testing.T) {
 // Same equivalence for the coordinate-median algorithm (also exactly
 // coordinate-wise).
 func TestDeTAMedianMatchesCentralized(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Rounds = 2
+	histFFL, histDeTA := trainBoth(t, 2, func() agg.Algorithm { return agg.CoordinateMedian{} })
+	for i := range histFFL.Rounds {
+		if math.Abs(histFFL.Rounds[i].TestLoss-histDeTA.Rounds[i].TestLoss) > 1e-9 {
+			t.Errorf("round %d: median test loss differs", i+1)
+		}
+	}
+}
 
+// trainBoth trains four tiny parties for rounds under the centralized FFL
+// baseline and under DeTA (three aggregators, shuffling on), from the same
+// initial model.
+func trainBoth(t *testing.T, rounds int, newAlg func() agg.Algorithm) (histFFL, histDeTA *fl.History) {
+	t.Helper()
+	cfg := tinyConfig()
+	cfg.Rounds = rounds
 	psFFL, test := tinyParties(t, 4, cfg)
 	ffl := &fl.Session{
-		Cfg: cfg, Algorithm: agg.CoordinateMedian{}, Build: tinyBuild,
+		Cfg: cfg, Algorithm: newAlg(), Build: tinyBuild,
 		Parties: psFFL, Test: test, InitSeed: []byte("shared-init"),
 	}
 	histFFL, err := ffl.Run()
@@ -159,23 +143,13 @@ func TestDeTAMedianMatchesCentralized(t *testing.T) {
 	}
 	psDeTA, test2 := tinyParties(t, 4, cfg)
 	deta := &Session{
-		Cfg:          cfg,
-		Opts:         Options{NumAggregators: 3, Shuffle: true},
-		Build:        tinyBuild,
-		Parties:      psDeTA,
-		Test:         test2,
-		InitSeed:     []byte("shared-init"),
-		NewAlgorithm: func() agg.Algorithm { return agg.CoordinateMedian{} },
+		Cfg: cfg, Opts: Options{NumAggregators: 3, Shuffle: true}, Build: tinyBuild,
+		Parties: psDeTA, Test: test2, InitSeed: []byte("shared-init"), NewAlgorithm: newAlg,
 	}
-	histDeTA, err := deta.Run()
-	if err != nil {
+	if histDeTA, err = deta.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range histFFL.Rounds {
-		if math.Abs(histFFL.Rounds[i].TestLoss-histDeTA.Rounds[i].TestLoss) > 1e-9 {
-			t.Errorf("round %d: median test loss differs", i+1)
-		}
-	}
+	return histFFL, histDeTA
 }
 
 func TestDeTAFedSGD(t *testing.T) {
@@ -201,23 +175,8 @@ func TestDeTAFedSGD(t *testing.T) {
 }
 
 func TestAggregatorNodeProtocolErrors(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := sev.NewPlatform("h", vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := attest.NewProxy(vendor.RAS(), OVMF)
-	cvm, _ := platform.LaunchCVM(OVMF)
-	if _, err := ap.Provision("agg-x", platform, cvm); err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewAggregatorNode("agg-x", agg.IterativeAverage{}, cvm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy, vendor := testTrust(t)
+	node := newProvisionedNode(t, proxy, vendor, "agg-x")
 
 	// Unregistered upload/download.
 	if err := node.Upload(1, "ghost", tensor.Vector{1}, 1); !errors.Is(err, ErrNotRegistered) {

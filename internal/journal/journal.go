@@ -8,7 +8,9 @@
 // last compaction snapshot (if any) and every committed record appended
 // after it; a torn or corrupted tail — the expected artifact of a crash
 // mid-append — is truncated away silently, recovering to the last committed
-// record instead of erroring out.
+// record instead of erroring out. A corrupt record that committed records
+// follow is not a torn tail: Open refuses it (ErrCorruptLog) rather than
+// truncate acknowledged state away.
 //
 // On-disk format (wal.log and snapshot.bin share it):
 //
@@ -51,6 +53,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed is returned by operations on a closed journal.
 var ErrClosed = errors.New("journal: closed")
 
+// ErrCorruptLog is returned by Open when a record fails its checksum but
+// a valid record follows it. A crash can only tear the final record, so
+// this is damage to committed records; Open leaves wal.log untouched for
+// an operator to inspect instead of truncating them away.
+var ErrCorruptLog = errors.New("journal: corrupt record followed by committed records")
+
 // Record is one committed journal entry: an application-defined type tag
 // and an opaque payload (the aggregator gob-encodes its events).
 type Record struct {
@@ -92,7 +100,8 @@ type Journal struct {
 
 // Open opens (creating if needed) the journal in dir and recovers its
 // contents. A torn tail is truncated in place so subsequent appends start
-// from the last committed record.
+// from the last committed record; a corrupt record with valid records
+// after it fails with ErrCorruptLog and changes nothing on disk.
 func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
@@ -123,6 +132,9 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	for good < len(b) {
 		r, n, err := decodeRecord(b[good:])
 		if err != nil {
+			if followedByRecord(b[good:]) {
+				return nil, nil, fmt.Errorf("%w: %s at offset %d: %v", ErrCorruptLog, logPath, good, err)
+			}
 			rec.Truncated = true
 			break
 		}
@@ -283,6 +295,25 @@ func syncDir(dir string) {
 		//lint:ignore errdiscipline read-only directory handle; nothing buffered to lose
 		d.Close()
 	}
+}
+
+// followedByRecord reports whether the frame at the front of b, which
+// failed to decode, declares an end at which a valid record decodes — the
+// evidence that it is mid-log damage rather than a torn final record.
+func followedByRecord(b []byte) bool {
+	if len(b) < headerSize {
+		return false
+	}
+	n := binary.BigEndian.Uint32(b[1:5])
+	if n > MaxRecord {
+		return false
+	}
+	end := headerSize + int(n)
+	if end >= len(b) {
+		return false
+	}
+	_, _, err := decodeRecord(b[end:])
+	return err == nil
 }
 
 func encodeRecord(typ uint8, data []byte) []byte {

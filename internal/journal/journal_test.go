@@ -215,6 +215,42 @@ func TestCorruptTailDetected(t *testing.T) {
 	}
 }
 
+// A flipped byte in record 2 of 10 is not a torn tail: eight committed
+// records follow it. Open must refuse the log, typed, and leave wal.log
+// byte-for-byte as it found it rather than truncate acknowledged records.
+func TestMidLogCorruptionFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		mustAppend(t, j, 1, bytes.Repeat([]byte{byte(i + 1)}, 19))
+	}
+	j.Close()
+	logPath := filepath.Join(dir, logName)
+	orig, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recLen := len(orig) / 10
+	damaged := append([]byte{}, orig...)
+	damaged[recLen+headerSize+3] ^= 0x01 // a payload byte of record 2
+	if err := os.WriteFile(logPath, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("Open over mid-log corruption = %v, want ErrCorruptLog", err)
+	}
+	after, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(orig) || !bytes.Equal(after, damaged) {
+		t.Fatalf("Open changed wal.log: %d bytes, was %d", len(after), len(orig))
+	}
+}
+
 func TestAppendNoSyncCounts(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{NoSync: true})

@@ -11,7 +11,6 @@
 //     the durability path
 //   - ctxplumb:       RPC/fleet surfaces take a caller context, first, and
 //     never mint context.Background() internally
-//   - mutexcopy:      no by-value copies of lock-bearing structs
 //   - keytaint:       key material never reaches logs, error strings, the
 //     journal, or wire messages other than the AP PermKey response
 //   - lockregion:     no network/disk I/O on any CFG path holding a mutex
@@ -138,7 +137,6 @@ func All() []Analyzer {
 		MapOrder{},
 		ErrDiscipline{},
 		CtxPlumb{},
-		MutexCopy{},
 		&KeyTaint{},
 		&LockRegion{},
 		&CtxFlow{},

@@ -75,7 +75,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"maporder", "deta/internal/core", MapOrder{}},
 		{"errdiscipline", "deta/internal/journal", ErrDiscipline{}},
 		{"ctxplumb", "deta/internal/core", CtxPlumb{}},
-		{"mutexcopy", "deta/internal/core", MutexCopy{}},
 		{"keytaint", "deta/internal/core", &KeyTaint{}},
 		{"lockregion", "deta/internal/core", &LockRegion{}},
 		{"ctxflow", "deta/internal/core", &CtxFlow{}},

@@ -22,72 +22,19 @@ package transport
 //	22+n    4     element count uint32
 //	26+n    8*c   float64 slab, IEEE-754 bits little-endian
 //
-// Versioning/compat rules: the magic pair never collides with a gob
-// stream's first bytes, so decoders sniff it and fall back to gob — an
-// old peer's gob body still decodes on a new server, and `-wire gob`
-// rolls a new sender back wholesale. Any layout change bumps the version
-// byte; decoders reject versions they do not know rather than guessing.
-// The element count is validated against the bytes actually present
-// BEFORE any allocation, so a hostile count cannot force a huge alloc.
+// Versioning rules: a fragment message is always this layout, never gob.
+// Any layout change bumps the version byte; decoders reject versions they
+// do not know rather than guessing. The element count is validated
+// against the bytes actually present BEFORE any allocation, so a hostile
+// count cannot force a huge alloc.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
 	"deta/internal/tensor"
 )
-
-// Codec turns RPC bodies into bytes and back. The package-level
-// Encode/Decode pick per message type: Binary for data-plane messages
-// that implement WireAppender/WireDecoder, Gob for everything else.
-type Codec interface {
-	Name() string
-	Encode(v any) ([]byte, error)
-	Decode(data []byte, v any) error
-}
-
-// Gob is the schema-evolving control-plane codec (the original wire
-// format for every message).
-var Gob Codec = gobCodec{}
-
-// Binary is the fixed-layout data-plane codec. It only handles messages
-// that opt in via WireAppender/WireDecoder.
-var Binary Codec = binaryCodec{}
-
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-func (gobCodec) Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-func (gobCodec) Decode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
-func (binaryCodec) Encode(v any) ([]byte, error) {
-	wa, ok := v.(WireAppender)
-	if !ok {
-		return nil, fmt.Errorf("transport: %T has no fixed-layout wire encoding", v)
-	}
-	return wa.AppendWire(nil)
-}
-func (binaryCodec) Decode(data []byte, v any) error {
-	wd, ok := v.(WireDecoder)
-	if !ok {
-		return fmt.Errorf("transport: %T has no fixed-layout wire decoding", v)
-	}
-	return wd.DecodeWire(data)
-}
 
 // WireAppender is implemented by messages with a fixed-layout binary
 // encoding (value receivers, so both values and pointers qualify).
@@ -116,11 +63,7 @@ const (
 	fragCountLen = 4
 )
 
-// IsWire reports whether data begins with the fragment codec magic —
-// the sniff decoders use to tell a binary body from a legacy gob body.
-// (A gob stream opens with a small message-length uvarint; 0xD7 there
-// would claim an absurd 41-byte length integer, so the pair is
-// unambiguous in practice.)
+// IsWire reports whether data begins with the fragment codec magic.
 func IsWire(data []byte) bool {
 	return len(data) >= 2 && data[0] == fragMagic0 && data[1] == fragMagic1
 }

@@ -12,11 +12,11 @@ import (
 	"deta/internal/tensor"
 )
 
-// codec_test.go pins the fragment wire format three ways: a property test
-// proving the binary codec and the legacy gob path produce bit-identical
-// decoded messages (including non-finite floats), a golden byte-layout
-// test that freezes the v1 header so it cannot drift silently, and
-// hostile-input tests proving lying length fields error before allocating.
+// codec_test.go pins the fragment wire format three ways: a round-trip
+// property test proving decoded messages are bit-identical to the sent
+// ones (including non-finite floats), a golden byte-layout test that
+// freezes the v1 header so it cannot drift silently, and hostile-input
+// tests proving lying length fields error before allocating.
 
 // fragMsg mirrors the shape of core.UploadReq without importing core
 // (which would cycle): a wire message whose body is one fragment.
@@ -92,74 +92,35 @@ func bitsEqual(a, b tensor.Vector) bool {
 	return true
 }
 
-// TestFragmentCodecGobEquivalence is the tentpole equivalence property:
-// for the same message, the binary wire path and the legacy gob path must
-// decode to bit-identical results, and each decoder must accept the other
-// encoder's output (mixed-fleet compatibility via the magic sniff).
-func TestFragmentCodecGobEquivalence(t *testing.T) {
+// TestFragmentCodecRoundTrip is the codec's bit-identity property: a
+// fragment message sent through the RPC body path (Encode, then Decode)
+// comes back with an identical header and bit-identical values.
+func TestFragmentCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		f := randomFragment(r)
 		in := fragMsg{Round: f.Round, Index: f.Index, PartyID: f.PartyID, Weight: f.Weight, Values: f.Values}
 
-		binBody, err := Encode(&in)
+		body, err := Encode(&in)
 		if err != nil {
-			t.Fatalf("trial %d: binary encode: %v", trial, err)
+			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		if !IsWire(binBody) {
+		if !IsWire(body) {
 			t.Fatalf("trial %d: Encode of a WireAppender did not produce codec magic", trial)
 		}
-		gobBody, err := Gob.Encode(&in)
-		if err != nil {
-			t.Fatalf("trial %d: gob encode: %v", trial, err)
+		var got fragMsg
+		if err := Decode(body, &got); err != nil {
+			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if IsWire(gobBody) {
-			t.Fatalf("trial %d: gob body collides with codec magic — sniff is ambiguous", trial)
+		if got.Round != in.Round || got.Index != in.Index ||
+			got.PartyID != in.PartyID ||
+			math.Float64bits(got.Weight) != math.Float64bits(in.Weight) {
+			t.Fatalf("trial %d: header mismatch: got %+v want %+v", trial, got, in)
 		}
-
-		var fromBin, fromGob fragMsg
-		if err := Decode(binBody, &fromBin); err != nil {
-			t.Fatalf("trial %d: decode binary body: %v", trial, err)
+		if !bitsEqual(got.Values, in.Values) {
+			t.Fatalf("trial %d: values not bit-identical", trial)
 		}
-		if err := Decode(gobBody, &fromGob); err != nil {
-			t.Fatalf("trial %d: decode gob body (legacy fallback): %v", trial, err)
-		}
-
-		for name, got := range map[string]fragMsg{"binary": fromBin, "gob": fromGob} {
-			if got.Round != in.Round || got.Index != in.Index ||
-				got.PartyID != in.PartyID ||
-				math.Float64bits(got.Weight) != math.Float64bits(in.Weight) {
-				t.Fatalf("trial %d: %s header mismatch: got %+v want %+v", trial, name, got, in)
-			}
-			if !bitsEqual(got.Values, in.Values) {
-				t.Fatalf("trial %d: %s values not bit-identical", trial, name)
-			}
-		}
-		tensor.PutVector(fromBin.Values)
-	}
-}
-
-// TestFragmentCodecLegacyWireToggle pins the rollback switch: with
-// SetBinaryWire(false) even a WireAppender encodes as gob, and decoders
-// still accept both encodings.
-func TestFragmentCodecLegacyWireToggle(t *testing.T) {
-	in := fragMsg{Round: 3, Index: 1, PartyID: "p", Weight: 0.5, Values: tensor.Vector{1, 2, 3}}
-
-	SetBinaryWire(false)
-	defer SetBinaryWire(true)
-	body, err := Encode(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsWire(body) {
-		t.Fatal("SetBinaryWire(false) still produced a binary body")
-	}
-	var out fragMsg
-	if err := Decode(body, &out); err != nil {
-		t.Fatalf("decode of gob-mode body: %v", err)
-	}
-	if !bitsEqual(out.Values, in.Values) {
-		t.Fatal("gob-mode round trip mangled values")
+		tensor.PutVector(got.Values)
 	}
 }
 

@@ -6,9 +6,9 @@
 //
 // Frame format: 4-byte big-endian length, then a gob-encoded envelope.
 // Requests carry a method name and an opaque body; responses carry a body
-// or an error string. Bodies themselves are encoded by a Codec (see
-// codec.go): fixed-layout binary for data-plane fragment messages, gob
-// for the control plane.
+// or an error string. Bodies themselves are fixed-layout binary for
+// data-plane fragment messages (see codec.go) and gob for the control
+// plane.
 //
 // Concurrency: one Client multiplexes any number of concurrent Calls over
 // its single connection — requests are pipelined by a writer goroutine and
@@ -30,7 +30,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // MaxFrame bounds a single message (guards against corrupt length
@@ -317,35 +316,27 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Method, e.Msg)
 }
 
-// legacyWire forces the gob codec for messages that would otherwise use
-// the fixed-layout binary encoding (daemon flag -wire gob, for rollback
-// against peers predating the codec). Decoding always sniffs, so a mixed
-// fleet interoperates in both modes.
-var legacyWire atomic.Bool
-
-// SetBinaryWire enables (default) or disables the fixed-layout binary
-// codec on the encode side. Decoders are unaffected: they accept both
-// encodings by sniffing the codec magic.
-func SetBinaryWire(enabled bool) { legacyWire.Store(!enabled) }
-
 // Encode encodes v for use as a request or response body: fixed-layout
-// binary for data-plane messages implementing WireAppender (unless
-// disabled via SetBinaryWire), gob for everything else.
+// binary for data-plane messages implementing WireAppender, gob for
+// everything else.
 func Encode(v any) ([]byte, error) {
-	if wa, ok := v.(WireAppender); ok && !legacyWire.Load() {
+	if wa, ok := v.(WireAppender); ok {
 		return wa.AppendWire(nil)
 	}
-	return Gob.Encode(v)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-// Decode decodes body into v. Messages implementing WireDecoder accept
-// both encodings: the codec magic selects fixed-layout binary, anything
-// else falls back to gob (legacy peers, -wire gob senders).
+// Decode decodes body into v: fixed-layout binary for messages
+// implementing WireDecoder, gob for everything else.
 func Decode(body []byte, v any) error {
-	if wd, ok := v.(WireDecoder); ok && IsWire(body) {
+	if wd, ok := v.(WireDecoder); ok {
 		return wd.DecodeWire(body)
 	}
-	return Gob.Decode(body, v)
+	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
 
 // HandleTyped registers a handler taking and returning gob-encoded values.
