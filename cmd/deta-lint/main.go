@@ -14,102 +14,105 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"deta/internal/lint"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("deta-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		jsonOut       = flag.Bool("json", false, "emit findings as a JSON array")
-		enable        = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable       = flag.String("disable", "", "comma-separated analyzers to skip")
-		list          = flag.Bool("list", false, "list analyzers and exit")
-		baseline      = flag.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
-		baselineWrite = flag.String("baseline-write", "", "record current findings to this baseline file and exit 0")
-		sarifOut      = flag.String("sarif", "", "also write findings (post-baseline) as SARIF 2.1.0 to this file")
+		jsonOut       = fs.Bool("json", false, "emit findings as a JSON array")
+		enable        = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable       = fs.String("disable", "", "comma-separated analyzers to skip")
+		list          = fs.Bool("list", false, "list analyzers and exit")
+		baseline      = fs.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
+		baselineWrite = fs.String("baseline-write", "", "record current findings to this baseline file and exit 0")
+		sarifOut      = fs.String("sarif", "", "also write findings (post-baseline) as SARIF 2.1.0 to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "deta-lint:", err)
+		return 2
+	}
 
 	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name(), a.Doc())
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name(), a.Doc())
 		}
-		return
+		return 0
 	}
 	analyzers, err := selectAnalyzers(analyzers, *enable, *disable)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "deta-lint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "deta-lint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	pkgs, err := lint.NewLoader().Load(wd, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "deta-lint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	findings := lint.Run(pkgs, analyzers)
 	if *baselineWrite != "" {
 		if err := lint.WriteBaseline(*baselineWrite, wd, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "deta-lint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "deta-lint: wrote %d finding(s) to baseline %s\n", len(findings), *baselineWrite)
-		return
+		fmt.Fprintf(stderr, "deta-lint: wrote %d finding(s) to baseline %s\n", len(findings), *baselineWrite)
+		return 0
 	}
 	if *baseline != "" {
 		base, err := lint.ReadBaseline(*baseline)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "deta-lint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		findings = lint.FilterBaseline(findings, base, wd)
 	}
 	if *sarifOut != "" {
 		if err := lint.WriteSARIF(*sarifOut, wd, analyzers, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "deta-lint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
 			findings = []lint.Finding{}
 		}
 		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "deta-lint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "deta-lint: %d finding(s) across %d package(s)\n", len(findings), len(pkgs))
+			fmt.Fprintf(stderr, "deta-lint: %d finding(s) across %d package(s)\n", len(findings), len(pkgs))
 		}
-		os.Exit(1)
+		return 1
 	}
-}
-
-// analyzerAliases maps retired analyzer names to their successors so
-// existing invocations keep working.
-var analyzerAliases = map[string]string{
-	"lockio": "lockregion", // replaced by the CFG-based analyzer
+	return 0
 }
 
 // selectAnalyzers applies -enable/-disable, validating names so a typo in
@@ -128,9 +131,6 @@ func selectAnalyzers(all []lint.Analyzer, enable, disable string) ([]lint.Analyz
 			n = strings.TrimSpace(n)
 			if n == "" {
 				continue
-			}
-			if successor, ok := analyzerAliases[n]; ok {
-				n = successor
 			}
 			if _, ok := byName[n]; !ok {
 				return nil, fmt.Errorf("unknown analyzer %q (try -list)", n)

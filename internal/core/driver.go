@@ -29,6 +29,9 @@ const (
 	stepRetryMax     = time.Second            // party re-drive backoff cap
 	syncPoll         = 20 * time.Millisecond  // initiator completeness poll
 	followerRetry    = 200 * time.Millisecond // pause after a failed follower sync
+
+	downloadPollInitial = 2 * time.Millisecond   // first Fleet.DownloadAll re-poll of an unfused round
+	downloadPollMax     = 250 * time.Millisecond // Fleet.DownloadAll re-poll backoff cap
 )
 
 // PartyDriver runs one party's side of DeTA rounds against the fleet.

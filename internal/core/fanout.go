@@ -64,15 +64,8 @@ type Fleet struct {
 	// down for this fan-out without waiting out the whole round deadline.
 	Timeout time.Duration
 
-	// Poll schedules DownloadAll's not-yet-aggregated retries: jittered
-	// capped-exponential backoff instead of a fixed busy-poll, so a slow
-	// round costs a handful of RPCs, not thousands, while an about-to-
-	// finish one is picked up within milliseconds. Zero-value fields
-	// default to 2ms initial delay, 250ms cap, factor 2, ±20% jitter.
-	Poll transport.Backoff
-
-	// Clock schedules the poll waits (nil = SystemClock); tests inject a
-	// FakeClock so polling is deterministic.
+	// Clock schedules DownloadAll's poll waits (nil = SystemClock); tests
+	// inject a FakeClock so polling is deterministic.
 	Clock Clock
 }
 
@@ -109,17 +102,6 @@ func (f *Fleet) clk() Clock {
 		return f.Clock
 	}
 	return SystemClock
-}
-
-func (f *Fleet) pollBackoff() transport.Backoff {
-	b := f.Poll
-	if b.Initial <= 0 {
-		b.Initial = 2 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 250 * time.Millisecond
-	}
-	return b
 }
 
 // fanOut runs op for every aggregator concurrently and applies quorum
@@ -200,28 +182,6 @@ func (f *Fleet) UploadAll(ctx context.Context, round int, partyID string, frags 
 	return classifyAbandoned(err, errs)
 }
 
-// CompleteAll polls every aggregator's round completeness concurrently and
-// returns how many report complete.
-func (f *Fleet) CompleteAll(ctx context.Context, round int) (int, error) {
-	var mu sync.Mutex
-	complete := 0
-	_, _, err := f.fanOut(func(j int, a *AggregatorClient) error {
-		cctx, cancel := f.callCtx(ctx)
-		defer cancel()
-		done, err := a.Complete(cctx, round)
-		if err != nil {
-			return err
-		}
-		if done {
-			mu.Lock()
-			complete++
-			mu.Unlock()
-		}
-		return nil
-	})
-	return complete, err
-}
-
 // DownloadAll fetches every aggregator's fused fragment for the round
 // concurrently, polling while a healthy aggregator has not aggregated yet
 // and giving up on an aggregator whose RPC fails or times out. If at least
@@ -234,7 +194,7 @@ func (f *Fleet) DownloadAll(ctx context.Context, round int, partyID string, fall
 		return nil, fmt.Errorf("core: %d fallback fragments for %d aggregators", len(fallback), len(f.Clients))
 	}
 	frags := make([]tensor.Vector, len(f.Clients))
-	backoff := f.pollBackoff()
+	backoff := transport.Backoff{Initial: downloadPollInitial, Max: downloadPollMax}
 	clk := f.clk()
 	ok, errs, err := f.fanOut(func(j int, a *AggregatorClient) error {
 		for attempt := 0; ; attempt++ {
@@ -251,7 +211,9 @@ func (f *Fleet) DownloadAll(ctx context.Context, round int, partyID string, fall
 				// for the round.
 				return err
 			}
-			// Not aggregated yet: back off (jittered, capped) and poll
+			// Not aggregated yet: back off (jittered, capped-exponential,
+			// so a slow round costs a handful of RPCs while an about-to-
+			// finish one is picked up within milliseconds) and poll
 			// again, aborting promptly if the caller cancels.
 			select {
 			case <-ctx.Done():

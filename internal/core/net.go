@@ -272,15 +272,9 @@ func (a *AggregatorClient) UploadFrag(ctx context.Context, round int, partyID st
 	return nil
 }
 
-// Complete polls whether the round is ready to fuse.
-func (a *AggregatorClient) Complete(ctx context.Context, round int) (bool, error) {
-	done, _, err := a.CompleteStatus(ctx, round)
-	return done, err
-}
-
-// CompleteStatus is Complete plus the round's abandoned flag, so sync
-// loops can skip a round the aggregator gave up on instead of polling it
-// until their deadline.
+// CompleteStatus polls whether the round is ready to fuse, plus its
+// abandoned flag, so sync loops can skip a round the aggregator gave up on
+// instead of polling it until their deadline.
 func (a *AggregatorClient) CompleteStatus(ctx context.Context, round int) (complete, abandoned bool, err error) {
 	resp, err := callAgg[CompleteReq, CompleteResp](ctx, a, MethodComplete, CompleteReq{Round: round})
 	if err != nil {

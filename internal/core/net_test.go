@@ -35,7 +35,7 @@ func TestNetPhaseIIAndRound(t *testing.T) {
 	if err := client.Upload(context.Background(), 1, "P1", tensor.Vector{1, 2, 3}, 1); err != nil {
 		t.Fatal(err)
 	}
-	done, err := client.Complete(context.Background(), 1)
+	done, _, err := client.CompleteStatus(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestNetPhaseIIAndRound(t *testing.T) {
 	if err := client.Upload(context.Background(), 1, "P2", tensor.Vector{3, 4, 5}, 1); err != nil {
 		t.Fatal(err)
 	}
-	done, err = client.Complete(context.Background(), 1)
+	done, _, err = client.CompleteStatus(context.Background(), 1)
 	if err != nil || !done {
 		t.Fatalf("complete = %v, %v", done, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -356,34 +357,43 @@ func TestSessionStateDirAndRetention(t *testing.T) {
 	}
 }
 
-// Satellite: DownloadAll's backoff poll honors context cancellation — a
-// cancelled party returns promptly instead of sleeping out its schedule.
+// DownloadAll's poll honors context cancellation: a cancelled party
+// returns promptly instead of sleeping out its backoff. The fleet's clock
+// never advances, so once DownloadAll is parked in its backoff wait the
+// only way out is the cancellation.
 func TestDownloadAllCancellationPrompt(t *testing.T) {
 	proxy, vendor := testTrust(t)
 	node := newProvisionedNode(t, proxy, vendor, "agg-cancel")
 	node.Register("P1")
-	// Never aggregated: DownloadAll will poll until cancelled.
+	// Never aggregated: DownloadAll polls until cancelled.
 	client := serveNode(t, node)
-	fleet := &Fleet{
-		Clients: []*AggregatorClient{client},
-		Poll:    transport.Backoff{Initial: 50 * time.Millisecond, Max: 10 * time.Second},
-	}
+	clk := NewFakeClock(time.Unix(0, 0))
+	fleet := &Fleet{Clients: []*AggregatorClient{client}, Clock: clk}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res := make(chan error, 1)
 	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
+		_, err := fleet.DownloadAll(ctx, 1, "P1", nil)
+		res <- err
 	}()
-	start := time.Now()
-	_, err := fleet.DownloadAll(ctx, 1, "P1", nil)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("cancelled DownloadAll succeeded")
+	limit := time.Now().Add(10 * time.Second)
+	for clk.pendingWaiters() == 0 {
+		if time.Now().After(limit) {
+			t.Fatal("DownloadAll never parked in its poll backoff")
+		}
+		runtime.Gosched()
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled in chain", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("cancellation took %v — poll not honoring ctx", elapsed)
+	cancel()
+	select {
+	case err := <-res:
+		if err == nil {
+			t.Fatal("cancelled DownloadAll succeeded")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled in chain", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("DownloadAll did not return after cancellation: poll not honoring ctx")
 	}
 }
 

@@ -270,7 +270,7 @@ func (s *Session) Setup() error {
 // the history reports includes the wire path. The servers are torn down
 // when Run returns.
 //
-//lint:ignore ctxflow Run mirrors fl.Session.Run; every RPC peer is an in-memory node this session owns and tears down on return, so there is no remote deadline to honor
+//lint:ignore ctxplumb Run mirrors fl.Session.Run; every RPC peer is an in-memory node this session owns and tears down on return, so there is no remote deadline to honor
 func (s *Session) Run() (*fl.History, error) {
 	if s.Nodes == nil {
 		if err := s.Setup(); err != nil {

@@ -38,13 +38,11 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 const hotpathDirective = "//perf:hotpath"
 
 type AllocFree struct {
-	once  sync.Once
 	hot   map[*types.Func]bool
 	alloc map[*types.Func]allocInfo
 }
@@ -83,26 +81,19 @@ func hotpathAnnotated(decl *ast.FuncDecl) bool {
 }
 
 // Prepare collects the module-wide annotated set and the alloc-effect
-// summary. Run falls back to single-package preparation when the
-// framework did not call it.
+// summary.
 func (a *AllocFree) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		a.hot = make(map[*types.Func]bool)
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
+	a.hot = make(map[*types.Func]bool)
+	units := moduleUnits(pkgs)
+	for _, u := range units {
+		if u.decl != nil && u.obj != nil && hotpathAnnotated(u.decl) {
+			a.hot[u.obj] = true
 		}
-		for _, u := range units {
-			if u.decl != nil && u.obj != nil && hotpathAnnotated(u.decl) {
-				a.hot[u.obj] = true
-			}
-		}
-		a.alloc = computeAllocFX(units)
-	})
+	}
+	a.alloc = computeAllocFX(units)
 }
 
 func (a *AllocFree) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	a.checkAnnotations(pkg, r)
 	for _, u := range funcUnits(pkg) {
 		if u.decl != nil && u.obj != nil && a.hot[u.obj] {

@@ -6,18 +6,34 @@ import (
 )
 
 // CtxPlumb enforces context plumbing on the RPC/fleet surface
-// (internal/transport and internal/core): exported functions that take a
-// context.Context must take it as the first parameter, and library code
-// must never mint its own root context — context.Background() (or TODO())
-// inside the transport or core silently detaches an operation from the
-// caller's deadline and cancellation, which is exactly how a dead
-// aggregator turns into a hung party. Entry points (cmd/*) own the root
-// context; everything below them threads it.
-type CtxPlumb struct{}
+// (internal/transport and internal/core), so a dead aggregator cannot turn
+// into a hung party. Three rules:
+//
+//   - an exported function that takes a context.Context takes it as the
+//     first parameter;
+//   - library code never mints its own root context: context.Background()
+//     (or TODO()) inside the transport or core silently detaches an
+//     operation from the caller's deadline and cancellation. Entry points
+//     (cmd/*) own the root context; everything below them threads it;
+//   - an exported function that transitively performs network I/O on its
+//     synchronous path takes a context.Context, or its caller cannot bound
+//     or cancel it. The I/O summary is module-wide (Prepare).
+//
+// Deliberate exclusions from the third rule:
+//   - goroutine bodies and function literals (the caller does not wait);
+//   - interface- and lifecycle-pinned method names (Read, Write, Close,
+//     Accept, Serve, ReadFrom, WriteTo): their signatures are fixed by
+//     io/net contracts and they are bounded by Close, mirroring
+//     net/http.Server.Serve;
+//   - the WAL (deta/internal/journal): local fsync is not cancellable in
+//     Go, and the commit-before-ack path must not be (DESIGN.md §9).
+type CtxPlumb struct {
+	io map[*types.Func]ioInfo
+}
 
-func (CtxPlumb) Name() string { return "ctxplumb" }
-func (CtxPlumb) Doc() string {
-	return "exported RPC/fleet functions take ctx first and never call context.Background()"
+func (*CtxPlumb) Name() string { return "ctxplumb" }
+func (*CtxPlumb) Doc() string {
+	return "exported RPC/fleet functions take ctx first, take one if they transitively do network I/O, and never call context.Background()"
 }
 
 var ctxPlumbScope = []string{
@@ -25,7 +41,16 @@ var ctxPlumbScope = []string{
 	"deta/internal/core",
 }
 
-func (CtxPlumb) Run(pkg *Package, r *Reporter) {
+// ctxExemptNames are signature-pinned by io/net interface contracts.
+var ctxExemptNames = map[string]bool{
+	"Read": true, "Write": true, "Close": true, "Accept": true,
+	"Serve": true, "ReadFrom": true, "WriteTo": true,
+}
+
+// Prepare computes the module-wide transitive I/O summary.
+func (a *CtxPlumb) Prepare(pkgs []*Package) { a.io = computeIO(moduleUnits(pkgs)) }
+
+func (a *CtxPlumb) Run(pkg *Package, r *Reporter) {
 	if !pathIn(pkg.Path, ctxPlumbScope...) {
 		return
 	}
@@ -34,7 +59,7 @@ func (CtxPlumb) Run(pkg *Package, r *Reporter) {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
 				if exported(x) {
-					checkCtxFirst(pkg, r, x)
+					a.checkSignature(pkg, r, x)
 				}
 			case *ast.CallExpr:
 				if sel, ok := x.Fun.(*ast.SelectorExpr); ok && isContextRoot(pkg, sel) {
@@ -48,24 +73,31 @@ func (CtxPlumb) Run(pkg *Package, r *Reporter) {
 	}
 }
 
-// checkCtxFirst reports an exported function whose context.Context
-// parameter is not in first position.
-func checkCtxFirst(pkg *Package, r *Reporter, fn *ast.FuncDecl) {
-	if fn.Type.Params == nil {
-		return
-	}
+// checkSignature applies the two signature rules to an exported function:
+// a context.Context parameter comes first, and a function that does
+// network I/O has one.
+func (a *CtxPlumb) checkSignature(pkg *Package, r *Reporter, fn *ast.FuncDecl) {
+	hasCtx := false
 	pos := 0
 	for _, field := range fn.Type.Params.List {
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
+		if isContextType(pkg, field.Type) {
+			if pos > 0 {
+				r.Reportf(field.Pos(),
+					"%s: context.Context must be the first parameter", fn.Name.Name)
+				return
+			}
+			hasCtx = true
 		}
-		if isContextType(pkg, field.Type) && pos > 0 {
-			r.Reportf(field.Pos(),
-				"%s: context.Context must be the first parameter", fn.Name.Name)
-			return
-		}
-		pos += n
+		pos += max(len(field.Names), 1)
+	}
+	if hasCtx || ctxExemptNames[fn.Name.Name] {
+		return
+	}
+	obj, _ := pkg.Info.Defs[fn.Name].(*types.Func)
+	if info := a.io[obj]; info.kind&ioNet != 0 {
+		r.Reportf(fn.Name.Pos(),
+			"%s transitively performs network I/O (via %s) but takes no context.Context: callers cannot bound or cancel it",
+			fnDisplayName(&funcUnit{decl: fn}), info.via)
 	}
 }
 

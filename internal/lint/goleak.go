@@ -31,11 +31,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 type GoLeak struct {
-	once    sync.Once
 	nodeWhy map[ast.Node]string // unit node (decl or literal) -> why it blocks forever
 	objWhy  map[*types.Func]string
 }
@@ -46,52 +44,46 @@ func (*GoLeak) Doc() string {
 }
 
 // Prepare computes the blocks-forever summary over every function body in
-// the module. Run falls back to single-package preparation when the
-// framework did not call it.
+// the module.
 func (a *GoLeak) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		a.nodeWhy = make(map[ast.Node]string)
-		a.objWhy = make(map[*types.Func]string)
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
+	a.nodeWhy = make(map[ast.Node]string)
+	a.objWhy = make(map[*types.Func]string)
+	units := moduleUnits(pkgs)
+	for _, u := range units {
+		if why := directBlocksForever(u); why != "" {
+			a.mark(u, why)
 		}
+	}
+	// Propagate through unconditional top-level calls: a wrapper that
+	// just runs a blocker blocks too. Conditional calls stay unflagged
+	// (may-block is too noisy for a leak report).
+	for changed := true; changed; {
+		changed = false
 		for _, u := range units {
-			if why := directBlocksForever(u); why != "" {
-				a.mark(u, why)
+			if a.nodeWhy[u.node()] != "" || u.body() == nil {
+				continue
 			}
-		}
-		// Propagate through unconditional top-level calls: a wrapper that
-		// just runs a blocker blocks too. Conditional calls stay unflagged
-		// (may-block is too noisy for a leak report).
-		for changed := true; changed; {
-			changed = false
-			for _, u := range units {
-				if a.nodeWhy[u.node()] != "" || u.body() == nil {
+			for _, st := range u.body().List {
+				es, ok := st.(*ast.ExprStmt)
+				if !ok {
 					continue
 				}
-				for _, st := range u.body().List {
-					es, ok := st.(*ast.ExprStmt)
-					if !ok {
-						continue
-					}
-					call, ok := unparen(es.X).(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					f := calleeFunc(u.pkg, call)
-					if f == nil {
-						continue
-					}
-					if why := a.objWhy[f]; why != "" {
-						a.mark(u, "calls "+f.Name()+", which "+why)
-						changed = true
-						break
-					}
+				call, ok := unparen(es.X).(*ast.CallExpr)
+				if !ok {
+					continue
+				}
+				f := calleeFunc(u.pkg, call)
+				if f == nil {
+					continue
+				}
+				if why := a.objWhy[f]; why != "" {
+					a.mark(u, "calls "+f.Name()+", which "+why)
+					changed = true
+					break
 				}
 			}
 		}
-	})
+	}
 }
 
 func (a *GoLeak) mark(u *funcUnit, why string) {
@@ -102,7 +94,6 @@ func (a *GoLeak) mark(u *funcUnit, why string) {
 }
 
 func (a *GoLeak) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	for _, u := range funcUnits(pkg) {
 		body := u.body()
 		if body == nil {

@@ -33,12 +33,10 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 type KeyTaint struct {
-	once sync.Once
-	g    *taintGlobal
+	g *taintGlobal
 }
 
 func (*KeyTaint) Name() string { return "keytaint" }
@@ -92,14 +90,10 @@ var keyTaintExemptWire = map[string]bool{
 	"PermKeyReq": true, "PermKeyResp": true,
 }
 
-// Prepare runs the module-wide taint fixpoint. Run falls back to a
-// single-package fixpoint if the framework did not call it.
-func (a *KeyTaint) Prepare(pkgs []*Package) {
-	a.once.Do(func() { a.g = computeTaint(pkgs) })
-}
+// Prepare runs the module-wide taint fixpoint.
+func (a *KeyTaint) Prepare(pkgs []*Package) { a.g = computeTaint(pkgs) }
 
 func (a *KeyTaint) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	env := &taintEnv{pkg: pkg, g: a.g}
 	for _, u := range funcUnits(pkg) {
 		if u.lit != nil && u.parent != nil {

@@ -3,20 +3,18 @@
 // project-specific analyzers that enforce DeTA's security and determinism
 // invariants, and the package loader that feeds them.
 //
-// The enforced invariants (see DESIGN.md §10):
+// The enforced invariants (see DESIGN.md §10), one analyzer each:
 //
 //   - cryptorand:     keyed/secret randomness must never come from math/rand
-//   - maporder:       no order-dependent accumulation over map iteration
 //   - errdiscipline:  no silently dropped Sync/Close/Write/Commit errors on
 //     the durability path
-//   - ctxplumb:       RPC/fleet surfaces take a caller context, first, and
-//     never mint context.Background() internally
+//   - ctxplumb:       RPC/fleet surfaces take a caller context, first, take
+//     one whenever they transitively perform network I/O, and never mint
+//     context.Background() internally
 //   - keytaint:       key material never reaches logs, error strings, the
 //     journal, or wire messages other than the AP PermKey response
 //   - lockregion:     no network/disk I/O on any CFG path holding a mutex
 //     in core (the WAL commit is the sanctioned exception)
-//   - ctxflow:        exported transport/core functions that transitively
-//     perform network I/O take a context.Context
 //   - lockorder:      the module-wide lock-acquisition-order graph is
 //     acyclic (cycles are potential deadlocks)
 //   - goleak:         no goroutine is spawned into a body that can block
@@ -27,29 +25,29 @@
 //   - waldisc:        every durable aggregator state mutation is dominated
 //     on all CFG paths by a journal append of sufficient strength
 //     (WAL-before-ack)
-//   - replaypure:     no nondeterminism source (wall clock, global rand,
-//     goroutines, observable map order) is reachable from replay roots or
-//     fusion kernels
-//   - clockdisc:      internal/core and cmd never read the wall clock or
-//     arm timers directly — all time flows through the injectable
-//     core.Clock
+//   - replaypure:     determinism — no wall clock, global rand, goroutine,
+//     or observable map order in code reachable from replay roots or
+//     fusion kernels; no map-order dependence anywhere in the
+//     deterministic packages; and internal/core and cmd read time only
+//     through the injectable core.Clock
 //
-// keytaint, lockregion, ctxflow, lockorder, goleak, and allocfree are
+// keytaint, lockregion, ctxplumb, lockorder, goleak, and allocfree are
 // dataflow/summary analyzers: they run on per-function control-flow
 // graphs (cfg.go, dataflow.go) with module-wide call-graph summaries
 // (summary.go) computed once, up front, through the Preparer hook.
 // waldisc and replaypure form the protocol-invariant tier on top of the
 // must-analysis engine (dom.go, mustflow.go): dominance and
 // every-path-append facts that the forward may-solver cannot express.
-// One defect, one finding: a syntactic maporder hit on a line where
-// replaypure also reports is aliased to the replaypure finding by Run.
+// Each defect is reported once, by the analyzer that owns its invariant.
 //
 // A finding on a line can be acknowledged — never silently — with a
 // comment on that line or the line above:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// The reason is mandatory: an ignore without one is itself a finding.
+// The reason is mandatory, and the analyzer must be one of All(): a
+// malformed directive, or one naming no registered analyzer, is itself a
+// finding.
 package lint
 
 import (
@@ -124,8 +122,9 @@ type Analyzer interface {
 }
 
 // Preparer is implemented by analyzers that need module-wide facts: Run
-// calls Prepare once with every loaded package before fanning out, so
-// call-graph summaries can cross package boundaries.
+// always calls Prepare once with every loaded package before fanning out,
+// so call-graph summaries can cross package boundaries and an analyzer's
+// Run may rely on them.
 type Preparer interface {
 	Prepare(pkgs []*Package)
 }
@@ -134,18 +133,15 @@ type Preparer interface {
 func All() []Analyzer {
 	return []Analyzer{
 		CryptoRand{},
-		MapOrder{},
 		ErrDiscipline{},
-		CtxPlumb{},
+		&CtxPlumb{},
 		&KeyTaint{},
 		&LockRegion{},
-		&CtxFlow{},
 		&LockOrder{},
 		&GoLeak{},
 		&AllocFree{},
 		WalDisc{},
 		&ReplayPure{},
-		ClockDisc{},
 	}
 }
 
@@ -153,8 +149,9 @@ func All() []Analyzer {
 // packages, after a sequential Prepare round for analyzers that need
 // module-wide summaries), applies //lint:ignore suppression, and returns
 // the surviving findings sorted by position. Malformed ignore directives
-// (no analyzer name or no reason) are reported as findings of the
-// pseudo-analyzer "lintignore".
+// (no analyzer name or no reason) and directives naming an analyzer that
+// is not registered are reported as findings of the pseudo-analyzer
+// "lintignore".
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	for _, a := range analyzers {
 		if p, ok := a.(Preparer); ok {
@@ -190,30 +187,6 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	for _, fs := range results {
 		all = append(all, fs...)
 	}
-	// maporder/replaypure overlap: replaypure reruns the syntactic map-order
-	// checks under reachability scoping, so a line both analyzers hit is ONE
-	// defect — keep the replaypure finding (it carries replay provenance)
-	// and drop the maporder duplicate.
-	type fileLine struct {
-		file string
-		line int
-	}
-	replayLines := map[fileLine]bool{}
-	for _, f := range all {
-		if f.Analyzer == "replaypure" {
-			replayLines[fileLine{f.File, f.Line}] = true
-		}
-	}
-	if len(replayLines) > 0 {
-		kept := all[:0]
-		for _, f := range all {
-			if f.Analyzer == "maporder" && replayLines[fileLine{f.File, f.Line}] {
-				continue
-			}
-			kept = append(kept, f)
-		}
-		all = kept
-	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.File != b.File {
@@ -242,7 +215,13 @@ type supKey struct {
 // suppressions scans a package's comments for //lint:ignore directives.
 // A directive suppresses the named analyzer on its own line and on the
 // following line (the usual "comment above the statement" placement).
+// A directive that names no registered analyzer suppresses nothing, so it
+// is reported rather than left to look like an acknowledgement.
 func suppressions(pkg *Package) (map[supKey]bool, []Finding) {
+	registered := make(map[string]bool)
+	for _, a := range All() {
+		registered[a.Name()] = true
+	}
 	sup := make(map[supKey]bool)
 	var bad []Finding
 	for _, file := range pkg.Files {
@@ -254,19 +233,25 @@ func suppressions(pkg *Package) (map[supKey]bool, []Finding) {
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				fields := strings.Fields(text)
-				if len(fields) < 2 {
-					bad = append(bad, Finding{
-						Analyzer: "lintignore",
-						Pos:      pos,
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Message:  "malformed directive: want //lint:ignore <analyzer> <reason>",
-					})
+				var msg string
+				switch {
+				case len(fields) < 2:
+					msg = "malformed directive: want //lint:ignore <analyzer> <reason>"
+				case !registered[fields[0]]:
+					msg = fmt.Sprintf("directive names unknown analyzer %q and suppresses nothing (see deta-lint -list)", fields[0])
+				default:
+					sup[supKey{fields[0], pos.Filename, pos.Line}] = true
+					sup[supKey{fields[0], pos.Filename, pos.Line + 1}] = true
 					continue
 				}
-				sup[supKey{fields[0], pos.Filename, pos.Line}] = true
-				sup[supKey{fields[0], pos.Filename, pos.Line + 1}] = true
+				bad = append(bad, Finding{
+					Analyzer: "lintignore",
+					Pos:      pos,
+					File:     pos.Filename,
+					Line:     pos.Line,
+					Col:      pos.Column,
+					Message:  msg,
+				})
 			}
 		}
 	}

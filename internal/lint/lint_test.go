@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -23,6 +25,7 @@ type mark struct {
 }
 
 // wantMarks scans a fixture directory for `// want <analyzer>` markers.
+// The result is empty for a fixture that expects no findings.
 func wantMarks(t *testing.T, dir string) map[mark]bool {
 	t.Helper()
 	out := map[mark]bool{}
@@ -49,9 +52,6 @@ func wantMarks(t *testing.T, dir string) map[mark]bool {
 		}
 		f.Close()
 	}
-	if len(out) == 0 {
-		t.Fatalf("fixture %s has no want markers", dir)
-	}
 	return out
 }
 
@@ -66,25 +66,30 @@ func fixturePkg(t *testing.T, l *Loader, name, pose string) *Package {
 
 func TestAnalyzerFixtures(t *testing.T) {
 	loader := NewLoader()
+	// Fixtures are named for the rule they exercise; maporder, clockdisc
+	// and ctxflow are rules of replaypure and ctxplumb. A clean fixture
+	// asserts that no rule applies to its pose.
 	cases := []struct {
 		fixture  string
 		pose     string
 		analyzer Analyzer
+		clean    bool
 	}{
-		{"cryptorand", "deta/internal/rng", CryptoRand{}},
-		{"maporder", "deta/internal/core", MapOrder{}},
-		{"errdiscipline", "deta/internal/journal", ErrDiscipline{}},
-		{"ctxplumb", "deta/internal/core", CtxPlumb{}},
-		{"keytaint", "deta/internal/core", &KeyTaint{}},
-		{"lockregion", "deta/internal/core", &LockRegion{}},
-		{"ctxflow", "deta/internal/core", &CtxFlow{}},
-		{"lockorder", "deta/internal/core", &LockOrder{}},
-		{"goleak", "deta/internal/core", &GoLeak{}},
-		{"allocfree", "deta/internal/core", &AllocFree{}},
-		{"waldisc", "deta/internal/core", WalDisc{}},
-		{"replaypure", "deta/internal/core", &ReplayPure{}},
-		{"clockdisc", "deta/internal/core", ClockDisc{}},
-		{"suppress", "deta/internal/journal", ErrDiscipline{}},
+		{"cryptorand", "deta/internal/rng", CryptoRand{}, false},
+		{"maporder", "deta/internal/core", &ReplayPure{}, false},
+		{"errdiscipline", "deta/internal/journal", ErrDiscipline{}, false},
+		{"ctxplumb", "deta/internal/core", &CtxPlumb{}, false},
+		{"keytaint", "deta/internal/core", &KeyTaint{}, false},
+		{"lockregion", "deta/internal/core", &LockRegion{}, false},
+		{"ctxflow", "deta/internal/core", &CtxPlumb{}, false},
+		{"lockorder", "deta/internal/core", &LockOrder{}, false},
+		{"goleak", "deta/internal/core", &GoLeak{}, false},
+		{"allocfree", "deta/internal/core", &AllocFree{}, false},
+		{"waldisc", "deta/internal/core", WalDisc{}, false},
+		{"replaypure", "deta/internal/core", &ReplayPure{}, false},
+		{"replaypure_unscoped", "deta/internal/transport", &ReplayPure{}, true},
+		{"clockdisc", "deta/internal/core", &ReplayPure{}, false},
+		{"suppress", "deta/internal/journal", ErrDiscipline{}, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -99,6 +104,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 				got[mark{filepath.Base(f.File), f.Line, f.Analyzer}] = true
 			}
 			want := wantMarks(t, filepath.Join("testdata", "src", tc.fixture))
+			if (len(want) == 0) != tc.clean {
+				t.Fatalf("fixture %s has %d want markers, clean = %v", tc.fixture, len(want), tc.clean)
+			}
 			for m := range want {
 				if !got[m] {
 					t.Errorf("missing finding: %s:%d [%s]", m.file, m.line, m.analyzer)
@@ -113,10 +121,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// TestSuppressionDirectives pins the two directive behaviors the fixture
+// TestSuppressionDirectives pins the directive behaviors the fixture
 // markers cannot express: the well-formed ignore actually removes its
-// finding, and the malformed ignore (no reason) is reported as a
-// "lintignore" finding at the directive's own line.
+// finding, and the malformed ignore (no reason) and the ignore naming an
+// unregistered analyzer are each reported as a "lintignore" finding at the
+// directive's own line.
 func TestSuppressionDirectives(t *testing.T) {
 	loader := NewLoader()
 	pkg := fixturePkg(t, loader, "suppress", "deta/internal/journal")
@@ -126,82 +135,89 @@ func TestSuppressionDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wellFormed, malformed := 0, 0
+	wellFormed, malformed, unknown := 0, 0, 0
 	for i, line := range strings.Split(string(src), "\n") {
 		trimmed := strings.TrimSpace(line)
-		if trimmed == "//lint:ignore errdiscipline" {
+		switch {
+		case trimmed == "//lint:ignore errdiscipline":
 			malformed = i + 1
-		} else if strings.HasPrefix(trimmed, "//lint:ignore errdiscipline ") {
+		case strings.HasPrefix(trimmed, "//lint:ignore errdiscipline "):
 			wellFormed = i + 1
+		case strings.HasPrefix(trimmed, "//lint:ignore maporder "):
+			unknown = i + 1
 		}
 	}
-	if wellFormed == 0 || malformed == 0 {
-		t.Fatalf("fixture lost its directives (well-formed at %d, malformed at %d)", wellFormed, malformed)
+	if wellFormed == 0 || malformed == 0 || unknown == 0 {
+		t.Fatalf("fixture lost its directives (well-formed at %d, malformed at %d, unknown at %d)", wellFormed, malformed, unknown)
 	}
 
-	var lintignore []Finding
+	var lintignore []int
 	for _, f := range findings {
 		switch f.Analyzer {
 		case "lintignore":
-			lintignore = append(lintignore, f)
+			lintignore = append(lintignore, f.Line)
 		case "errdiscipline":
 			if f.Line == wellFormed+1 {
 				t.Errorf("finding at line %d survived the well-formed ignore above it", f.Line)
 			}
 		}
 	}
-	if len(lintignore) != 1 {
-		t.Fatalf("got %d lintignore findings, want exactly 1: %v", len(lintignore), lintignore)
-	}
-	if lintignore[0].Line != malformed {
-		t.Errorf("lintignore finding at line %d, want %d (the malformed directive)", lintignore[0].Line, malformed)
+	if want := []int{malformed, unknown}; !reflect.DeepEqual(lintignore, want) {
+		t.Fatalf("lintignore findings at lines %v, want %v (the malformed and the unknown-analyzer directives)", lintignore, want)
 	}
 }
 
-// TestMapOrderReplayPureDedup pins the one-defect-one-finding rule: the
-// replaypure fixture's accumulate loop is an order-dependent float fold
-// inside a replay-reachable function, so syntactic maporder and
-// reachability-scoped replaypure both hit the same line — the driver must
-// keep only the replaypure finding there, while maporder findings on
-// lines replaypure does not cover (the unreachable function) survive.
-func TestMapOrderReplayPureDedup(t *testing.T) {
-	loader := NewLoader()
-	pkg := fixturePkg(t, loader, "replaypure", "deta/internal/core")
-	findings := Run([]*Package{pkg}, []Analyzer{MapOrder{}, &ReplayPure{}})
-
-	byLine := map[int][]string{}
-	for _, f := range findings {
-		if filepath.Base(f.File) == "replaypure.go" || filepath.Base(f.File) == "replaypure_clean.go" {
-			byLine[f.Line] = append(byLine[f.Line], f.Analyzer)
+// TestOneDefectOneFinding pins the suite-level contract that each defect
+// yields one finding: the fixture's replay-reachable time.Now() in core
+// and its replay-reachable map-order float fold in a deterministic
+// package each fall under two of replaypure's rules, and the full suite
+// must report each line exactly once, under the marked analyzer.
+func TestOneDefectOneFinding(t *testing.T) {
+	pkg := fixturePkg(t, NewLoader(), "onefinding", "deta/internal/core")
+	perLine := map[int]int{}
+	got := map[mark]bool{}
+	for _, f := range Run([]*Package{pkg}, All()) {
+		perLine[f.Line]++
+		got[mark{filepath.Base(f.File), f.Line, f.Analyzer}] = true
+	}
+	for line, n := range perLine {
+		if n != 1 {
+			t.Errorf("line %d: %d findings, want exactly 1", line, n)
 		}
 	}
-	// Locate the accumulate-loop line (want replaypure, inside the map
-	// range) and the unreachable fold in the clean file.
-	accLine := fixtureLine(t, "replaypure", "replaypure.go", "n.sum += v")
-	cleanLine := fixtureLine(t, "replaypure", "replaypure_clean.go", "n.sum += v")
-	if got := byLine[accLine]; len(got) != 1 || got[0] != "replaypure" {
-		t.Errorf("line %d: got analyzers %v, want exactly [replaypure] (maporder duplicate must be dropped)", accLine, got)
-	}
-	if got := byLine[cleanLine]; len(got) != 1 || got[0] != "maporder" {
-		t.Errorf("clean-file line %d: got analyzers %v, want exactly [maporder] (replaypure does not reach it)", cleanLine, got)
+	want := wantMarks(t, filepath.Join("testdata", "src", "onefinding"))
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("findings %v, want %v", got, want)
 	}
 }
 
-// fixtureLine returns the first line of the fixture file containing
-// needle.
-func fixtureLine(t *testing.T, fixture, file, needle string) int {
-	t.Helper()
-	src, err := os.ReadFile(filepath.Join("testdata", "src", fixture, file))
+// TestDesignTableListsAnalyzers keeps DESIGN.md §10 honest: its analyzer
+// table must have exactly one row per analyzer in All(), so a merged,
+// renamed or retired analyzer cannot leave a stale row behind.
+func TestDesignTableListsAnalyzers(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, line := range strings.Split(string(src), "\n") {
-		if strings.Contains(line, needle) {
-			return i + 1
-		}
+	_, sec, ok := strings.Cut(string(src), "\n## 10. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 10")
 	}
-	t.Fatalf("%s/%s: %q not found", fixture, file, needle)
-	return 0
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	row := regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|")
+	var rows []string
+	for _, m := range row.FindAllStringSubmatch(sec, -1) {
+		rows = append(rows, m[1])
+	}
+	var names []string
+	for _, a := range All() {
+		names = append(names, a.Name())
+	}
+	sort.Strings(rows)
+	sort.Strings(names)
+	if !reflect.DeepEqual(rows, names) {
+		t.Fatalf("DESIGN.md §10 table rows %v, want exactly the registered analyzers %v", rows, names)
+	}
 }
 
 // TestLoadSelf exercises the go-list Load path end to end: this package

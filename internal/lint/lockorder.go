@@ -17,8 +17,8 @@ package lint
 //
 //   - direct: a Lock/RLock statement executed with a non-empty may-held
 //     set (held sets propagate through the CFG like lockregion's, but
-//     keyed by class, with helper effects applied via a class-level net
-//     lock-effect summary — computeClassFX);
+//     keyed by class, with helper effects applied via the shared net
+//     lock-effect fixpoint, computeLockFX, keyed by class);
 //   - transitive: a call to a function whose may-acquire summary
 //     (computeLockAcq, a fixpoint over sync call edges at any depth) says
 //     it can take class B — the edge anchors at the call site with the
@@ -38,12 +38,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 type LockOrder struct {
-	once    sync.Once
-	classFX map[*types.Func][]classFX
+	classFX map[*types.Func][]lockFX[string]
 	acq     map[*types.Func]map[string]acqWitness
 
 	// edges is the deduped module-wide order graph in deterministic
@@ -76,26 +74,20 @@ func (*LockOrder) Doc() string {
 
 // Prepare computes the class-level summaries, collects the order graph
 // over every function body in the module, and precomputes the cycle
-// reports. Run falls back to single-package preparation when the
-// framework did not call it (fixture tests).
+// reports.
 func (a *LockOrder) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
-		}
-		a.classFX = computeClassFX(units)
-		a.acq = computeLockAcq(units)
-		seen := make(map[[2]string]bool)
-		for _, u := range units {
-			a.collectEdges(u, seen)
-		}
-		a.buildReports()
-	})
+	units := moduleUnits(pkgs)
+	a.classFX = computeLockFX(units, classKey, classThrough)
+	a.acq = computeLockAcq(units)
+	a.edges = nil
+	seen := make(map[[2]string]bool)
+	for _, u := range units {
+		a.collectEdges(u, seen)
+	}
+	a.buildReports()
 }
 
 func (a *LockOrder) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	for _, rep := range a.reports[pkg] {
 		r.Reportf(rep.pos, "%s", rep.msg)
 	}
@@ -111,10 +103,10 @@ func (a *LockOrder) collectEdges(u *funcUnit, seen map[[2]string]bool) {
 		return
 	}
 	c := buildCFG(body)
-	transfer := func(f lockFact, n ast.Node) { a.classTransfer(u.pkg, f, n) }
+	transfer := a.classTransfer(u.pkg)
 	in := solveForward(c, lockFact{}, transfer)
 	add := func(f lockFact, to string, pos token.Pos, via string) {
-		for _, from := range sortedFactKeys(f) {
+		for _, from := range sortedKeys(f) {
 			key := [2]string{from, to}
 			if seen[key] {
 				continue
@@ -169,7 +161,7 @@ func (a *LockOrder) edgesAtNode(pkg *Package, f lockFact, n ast.Node, add func(f
 		if callee.Pkg() != nil && callee.Pkg() != pkg.Types {
 			name = callee.Pkg().Name() + "." + name
 		}
-		for _, class := range sortedAcqKeys(set) {
+		for _, class := range sortedKeys(set) {
 			w := set[class]
 			wp := pkg.Fset.Position(w.pos)
 			via := fmt.Sprintf("%s (locks in %s at %s:%d)", name, w.fn, filepath.Base(wp.Filename), wp.Line)
@@ -178,39 +170,16 @@ func (a *LockOrder) edgesAtNode(pkg *Package, f lockFact, n ast.Node, add func(f
 	})
 }
 
-// classTransfer updates the class-keyed may-held set for one CFG node:
-// direct mutex operations and net class effects of callees.
-func (a *LockOrder) classTransfer(pkg *Package, f lockFact, n ast.Node) {
-	if st, ok := n.(*ast.ExprStmt); ok {
-		if class, op, ok := mutexClassOp(pkg, st.X); ok {
-			if op == "Lock" || op == "RLock" {
-				if _, held := f[class]; !held {
-					f[class] = st.Pos()
-				}
-			} else {
-				delete(f, class)
+// classTransfer is the class-keyed may-held transfer function for pkg's
+// functions: direct mutex operations and net class effects of callees.
+func (a *LockOrder) classTransfer(pkg *Package) func(f lockFact, n ast.Node) {
+	return heldTransfer(pkg, func(mu ast.Expr) string { return lockClass(pkg, mu) },
+		func(call *ast.CallExpr) []lockFX[string] {
+			if callee := calleeFunc(pkg, call); callee != nil {
+				return a.classFX[callee]
 			}
-			return
-		}
-	}
-	if _, ok := n.(*ast.DeferStmt); ok {
-		return // deferred releases happen at exit, not mid-function
-	}
-	inspectSyncCalls(n, func(call *ast.CallExpr) {
-		callee := calleeFunc(pkg, call)
-		if callee == nil {
-			return
-		}
-		for _, e := range a.classFX[callee] {
-			if e.acquire {
-				if _, held := f[e.class]; !held {
-					f[e.class] = call.Pos()
-				}
-			} else {
-				delete(f, e.class)
-			}
-		}
-	})
+			return nil
+		})
 }
 
 // buildReports finds strongly connected components of the order graph and
@@ -225,12 +194,7 @@ func (a *LockOrder) buildReports() {
 		nodeSet[e.from] = true
 		nodeSet[e.to] = true
 	}
-	nodes := make([]string, 0, len(nodeSet))
-	for n := range nodeSet {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, comp := range lockSCCs(nodes, adj) {
+	for _, comp := range lockSCCs(sortedKeys(nodeSet), adj) {
 		inSCC := make(map[string]bool, len(comp))
 		for _, n := range comp {
 			inSCC[n] = true
@@ -334,18 +298,10 @@ func edgePos(e *lockEdge, p token.Pos) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }
 
-func sortedFactKeys(f lockFact) []string {
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedAcqKeys(set map[string]acqWitness) []string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
+// sortedKeys returns m's keys in order, for deterministic output.
+func sortedKeys[M ~map[string]V, V any](m M) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

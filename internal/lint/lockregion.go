@@ -25,13 +25,11 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 type LockRegion struct {
-	once   sync.Once
 	io     map[*types.Func]ioInfo
-	lockFX map[*types.Func][]lockEffect
+	lockFX map[*types.Func][]lockFX[lockPath]
 }
 
 func (*LockRegion) Name() string { return "lockregion" }
@@ -39,21 +37,14 @@ func (*LockRegion) Doc() string {
 	return "flag network/disk I/O on any CFG path holding a mutex in internal/core (WAL journal exempt)"
 }
 
-// Prepare computes module-wide I/O and lock-effect summaries. Run falls
-// back to single-package summaries if the framework did not call it.
+// Prepare computes module-wide I/O and lock-effect summaries.
 func (a *LockRegion) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
-		}
-		a.io = computeIO(units)
-		a.lockFX = computeLockFX(units)
-	})
+	units := moduleUnits(pkgs)
+	a.io = computeIO(units)
+	a.lockFX = computeLockFX(units, exprRoot, pathThrough)
 }
 
 func (a *LockRegion) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	if !pathIn(pkg.Path, "deta/internal/core") {
 		return
 	}
@@ -72,7 +63,7 @@ func (a *LockRegion) checkUnit(u *funcUnit, r *Reporter) {
 		return
 	}
 	c := buildCFG(body)
-	transfer := func(f lockFact, n ast.Node) { a.lockTransfer(u.pkg, f, n) }
+	transfer := a.lockTransfer(u.pkg)
 	in := solveForward(c, lockFact{}, transfer)
 	for _, blk := range reachableBlocks(c, in) {
 		f := cloneFact(in[blk])
@@ -85,36 +76,15 @@ func (a *LockRegion) checkUnit(u *funcUnit, r *Reporter) {
 	}
 }
 
-// lockTransfer updates the held-lock set for one CFG node: direct
-// Lock/Unlock statements and calls to helpers with net lock effects.
-func (a *LockRegion) lockTransfer(pkg *Package, f lockFact, n ast.Node) {
-	if st, ok := n.(*ast.ExprStmt); ok {
-		if key, name, ok := mutexOp(pkg, st.X); ok {
-			if name == "Lock" || name == "RLock" {
-				f[key] = st.Pos()
-			} else {
-				delete(f, key)
-			}
-			return
-		}
-	}
-	// Deferred unlocks run at function exit; they never release a lock
-	// mid-function, so a DeferStmt has no transfer effect.
-	if _, ok := n.(*ast.DeferStmt); ok {
-		return
-	}
-	inspectSyncCalls(n, func(call *ast.CallExpr) {
+// lockTransfer is the held-lock transfer function for pkg's functions.
+// Locks are keyed by their printed expression in the function.
+func (a *LockRegion) lockTransfer(pkg *Package) func(f lockFact, n ast.Node) {
+	return heldTransfer(pkg, types.ExprString, func(call *ast.CallExpr) []lockFX[string] {
 		callee := calleeFunc(pkg, call)
 		if callee == nil {
-			return
+			return nil
 		}
-		for _, e := range callLockEffects(pkg, call, a.lockFX[callee]) {
-			if e.acquire {
-				f[e.key] = e.pos
-			} else {
-				delete(f, e.key)
-			}
-		}
+		return callLockEffects(call, a.lockFX[callee])
 	})
 }
 
@@ -173,54 +143,34 @@ func inspectSyncCalls(n ast.Node, visit func(*ast.CallExpr)) {
 }
 
 // heldKeys renders the held-lock set deterministically for messages.
-func heldKeys(f lockFact) string {
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	if len(keys) == 1 {
-		return keys[0]
-	}
-	// Rare multi-lock case: stable order for reproducible output.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return strings.Join(keys, ", ")
-}
+func heldKeys(f lockFact) string { return strings.Join(sortedKeys(f), ", ") }
 
-// mutexOp matches `<expr>.Lock()/RLock()/Unlock()/RUnlock()` where the
-// receiver is a sync.Mutex or sync.RWMutex, returning the printed
-// receiver expression as the lock key.
-func mutexOp(pkg *Package, e ast.Expr) (key, name string, ok bool) {
+// mutexOp matches `<mu>.Lock()/RLock()/Unlock()/RUnlock()` where mu is a
+// sync.Mutex or sync.RWMutex, returning the mutex expression.
+func mutexOp(pkg *Package, e ast.Expr) (mu ast.Expr, name string, ok bool) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
-		return "", "", false
+		return nil, "", false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", "", false
+		return nil, "", false
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return "", "", false
+		return nil, "", false
 	}
 	s, ok := pkg.Info.Selections[sel]
 	if !ok {
-		return "", "", false
+		return nil, "", false
 	}
-	t := s.Recv()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
+	named, isNamed := derefType(s.Recv()).(*types.Named)
 	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", "", false
+		return nil, "", false
 	}
 	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
-		return "", "", false
+		return nil, "", false
 	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
+	return sel.X, sel.Sel.Name, true
 }

@@ -13,8 +13,9 @@ package lint
 //     commit-before-ack write is the sanctioned, documented exception to
 //     both the lock-region and context rules (DESIGN.md §9).
 //   - lock effects: the net mutexes a function acquires or releases on
-//     behalf of its caller (receiver- or parameter-rooted), so
-//     helper-held locks are visible at call sites.
+//     behalf of its caller, so helper-held locks are visible at call
+//     sites — one fixpoint, keyed per frame for lockregion and by lock
+//     class for lockorder.
 //   - key taint (see keytaint.go): which fields, parameters, and returns
 //     carry key material, by flow-insensitive fixpoint.
 //
@@ -28,6 +29,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -109,6 +112,16 @@ func funcUnits(pkg *Package) []*funcUnit {
 			}
 			return true
 		})
+	}
+	return units
+}
+
+// moduleUnits returns every function body of every package, in load and
+// source order: the input of the module-wide summaries.
+func moduleUnits(pkgs []*Package) []*funcUnit {
+	var units []*funcUnit
+	for _, pkg := range pkgs {
+		units = append(units, funcUnits(pkg)...)
 	}
 	return units
 }
@@ -325,39 +338,50 @@ func syncWalk(body ast.Node, visit func(ast.Node)) {
 
 // ---------------------------------------------------------------------------
 // Lock-effect summaries.
+//
+// One fixpoint serves both lock analyzers; they differ only in how a lock
+// is named. lockregion names an *instance* relative to the function's
+// frame (lockPath: receiver or parameter plus selector path), so effects
+// map through call sites by substituting the call's arguments. lockorder
+// names a *class* — a struct-field mutex by its owning named type plus the
+// field ("core.AggregatorNode.mu", embedded owners resolved through the
+// selection's index path), a package-level mutex by "pkg.var" — which is
+// global, so effects cross call sites unchanged. Local mutexes have no
+// name in either scheme and never propagate to callers.
 
-// lockEffect is one net mutex acquisition (or release) a function
-// performs on behalf of its caller, rooted at the receiver (root == -1)
-// or a parameter (root == index).
-type lockEffect struct {
-	root    int
-	path    string // printed selector path below the root, e.g. ".mu"
+// lockFX is one net lock acquisition (or release) a function performs on
+// behalf of its caller, for the lock named key.
+type lockFX[K comparable] struct {
+	key     K
 	acquire bool
 }
 
 // computeLockFX summarizes, per declared function, the net locks it
-// leaves held (or releases) for its caller, rooted at the receiver or a
-// parameter. Effects propagate through call edges to a fixpoint (the
-// same shape as computeIO): a helper that locks via another helper still
-// surfaces at the outermost call site. Balanced Lock/Unlock — direct,
-// through calls, or Lock with a deferred Unlock — cancel out. Effects
-// rooted at a callee's locals never propagate; they are invisible in the
-// caller's frame.
-func computeLockFX(units []*funcUnit) map[*types.Func][]lockEffect {
-	out := make(map[*types.Func][]lockEffect)
+// leaves held (or releases) for its caller, to a fixpoint over call edges
+// (the same shape as computeIO): a helper that locks via another helper
+// still surfaces at the outermost call site. Balanced Lock/Unlock —
+// direct, through calls, or Lock with a deferred Unlock — cancel out.
+// key names the mutex of a direct Lock/Unlock in u's frame (false: the
+// lock is invisible to callers); through maps a callee's lock name across
+// a call site into u's frame (false: it does not survive the mapping).
+func computeLockFX[K comparable](units []*funcUnit,
+	key func(u *funcUnit, mu ast.Expr) (K, bool),
+	through func(u *funcUnit, call *ast.CallExpr, k K) (K, bool),
+) map[*types.Func][]lockFX[K] {
+	out := make(map[*types.Func][]lockFX[K])
 	// The cap bounds recursive call cycles; real helper chains stabilize
 	// after one pass per call depth.
 	for iter := 0; iter < 10; iter++ {
-		next := make(map[*types.Func][]lockEffect)
+		next := make(map[*types.Func][]lockFX[K])
 		for _, u := range units {
 			if u.obj == nil {
 				continue
 			}
-			if fx := unitLockFX(u, out); len(fx) > 0 {
+			if fx := unitLockFX(u, out, key, through); len(fx) > 0 {
 				next[u.obj] = fx
 			}
 		}
-		if lockFXStable(out, next) {
+		if maps.EqualFunc(out, next, slices.Equal[[]lockFX[K]]) {
 			return next
 		}
 		out = next
@@ -367,23 +391,36 @@ func computeLockFX(units []*funcUnit) map[*types.Func][]lockEffect {
 
 // unitLockFX computes one function's net lock effects given the current
 // summaries of every other function.
-func unitLockFX(u *funcUnit, summaries map[*types.Func][]lockEffect) []lockEffect {
-	roots := unitRoots(u)
-	var fx []lockEffect
-	apply := func(root int, path string, acquire bool) {
+func unitLockFX[K comparable](u *funcUnit, summaries map[*types.Func][]lockFX[K],
+	key func(u *funcUnit, mu ast.Expr) (K, bool),
+	through func(u *funcUnit, call *ast.CallExpr, k K) (K, bool),
+) []lockFX[K] {
+	var fx []lockFX[K]
+	apply := func(k K, acquire bool) {
 		// A release cancels the latest matching acquire (and vice
 		// versa); otherwise it is a net effect of its own.
 		for i := len(fx) - 1; i >= 0; i-- {
-			if fx[i].root == root && fx[i].path == path && fx[i].acquire != acquire {
+			if fx[i].key == k && fx[i].acquire != acquire {
 				fx = append(fx[:i], fx[i+1:]...)
 				return
 			}
 		}
-		fx = append(fx, lockEffect{root: root, path: path, acquire: acquire})
+		fx = append(fx, lockFX[K]{key: k, acquire: acquire})
 	}
-	// callFX maps a callee's summarized effects through the call site
-	// into this function's frame. releasesOnly models deferred calls,
-	// which (like deferred Unlocks) only ever discharge a held lock.
+	// direct applies a Lock/Unlock statement and reports whether e was
+	// one. Deferred calls (like deferred Unlocks) only ever discharge a
+	// held lock, so releasesOnly drops acquisitions.
+	direct := func(e ast.Expr, releasesOnly bool) bool {
+		mu, name, ok := mutexOp(u.pkg, e)
+		if !ok {
+			return false
+		}
+		acquire := name == "Lock" || name == "RLock"
+		if k, ok := key(u, mu); ok && !(releasesOnly && acquire) {
+			apply(k, acquire)
+		}
+		return true
+	}
 	callFX := func(call *ast.CallExpr, releasesOnly bool) {
 		callee := calleeFunc(u.pkg, call)
 		if callee == nil {
@@ -393,31 +430,15 @@ func unitLockFX(u *funcUnit, summaries map[*types.Func][]lockEffect) []lockEffec
 			if releasesOnly && e.acquire {
 				continue
 			}
-			var base ast.Expr
-			if e.root == -1 {
-				sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				base = sel.X
-			} else {
-				if e.root >= len(call.Args) {
-					continue
-				}
-				base = call.Args[e.root]
-			}
-			if root, path, ok := exprRoot(u.pkg, base, roots); ok {
-				apply(root, path+e.path, e.acquire)
+			if k, ok := through(u, call, e.key); ok {
+				apply(k, e.acquire)
 			}
 		}
 	}
 	syncWalk(u.body(), func(n ast.Node) {
 		switch st := n.(type) {
 		case *ast.ExprStmt:
-			if _, name, ok := mutexOp(u.pkg, st.X); ok {
-				if root, path, ok := splitRoot(u.pkg, st.X, roots); ok {
-					apply(root, path, name == "Lock" || name == "RLock")
-				}
+			if direct(st.X, false) {
 				return
 			}
 			if call, ok := unparen(st.X).(*ast.CallExpr); ok {
@@ -430,12 +451,7 @@ func unitLockFX(u *funcUnit, summaries map[*types.Func][]lockEffect) []lockEffec
 				}
 			}
 		case *ast.DeferStmt:
-			if _, name, ok := mutexOp(u.pkg, st.Call); ok {
-				if name == "Unlock" || name == "RUnlock" {
-					if root, path, ok := splitRoot(u.pkg, st.Call, roots); ok {
-						apply(root, path, false)
-					}
-				}
+			if direct(st.Call, true) {
 				return
 			}
 			callFX(st.Call, true)
@@ -444,70 +460,100 @@ func unitLockFX(u *funcUnit, summaries map[*types.Func][]lockEffect) []lockEffec
 	return fx
 }
 
-// lockFXStable reports whether two summary generations are identical, so
-// the fixpoint can stop iterating.
-func lockFXStable(a, b map[*types.Func][]lockEffect) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f, afx := range a {
-		bfx, ok := b[f]
-		if !ok || len(afx) != len(bfx) {
-			return false
-		}
-		for i := range afx {
-			if afx[i] != bfx[i] {
-				return false
+// heldTransfer returns the transfer function of a may-held lock set over
+// pkg's CFG nodes: a direct Lock/RLock adds the lock named by key (the
+// first acquisition site wins), Unlock/RUnlock removes it, and otherwise
+// each synchronous call applies the net effects callFX maps into the
+// caller's frame — including a Lock/Unlock whose mutex key cannot name
+// (it returns ""). Deferred calls run at exit and never release a lock
+// mid-function, so a DeferStmt has no effect.
+func heldTransfer(pkg *Package, key func(mu ast.Expr) string,
+	callFX func(call *ast.CallExpr) []lockFX[string]) func(f lockFact, n ast.Node) {
+	return func(f lockFact, n ast.Node) {
+		if st, ok := n.(*ast.ExprStmt); ok {
+			if mu, name, ok := mutexOp(pkg, st.X); ok {
+				if k := key(mu); k != "" {
+					setHeld(f, k, name == "Lock" || name == "RLock", st.Pos())
+					return
+				}
 			}
 		}
-	}
-	return true
-}
-
-// unitRoots maps the receiver (-1) and parameter objects (by index) of a
-// function so lock effects can be rooted relative to the caller's
-// arguments.
-func unitRoots(u *funcUnit) map[types.Object]int {
-	roots := make(map[types.Object]int)
-	if u.decl != nil && u.decl.Recv != nil && len(u.decl.Recv.List) > 0 && len(u.decl.Recv.List[0].Names) > 0 {
-		if obj := u.pkg.Info.Defs[u.decl.Recv.List[0].Names[0]]; obj != nil {
-			roots[obj] = -1
+		if _, ok := n.(*ast.DeferStmt); ok {
+			return
 		}
-	}
-	i := 0
-	for _, field := range u.ftype().Params.List {
-		for _, name := range field.Names {
-			if obj := u.pkg.Info.Defs[name]; obj != nil {
-				roots[obj] = i
+		inspectSyncCalls(n, func(call *ast.CallExpr) {
+			for _, e := range callFX(call) {
+				setHeld(f, e.key, e.acquire, call.Pos())
 			}
-			i++
-		}
-		if len(field.Names) == 0 {
-			i++
-		}
+		})
 	}
-	return roots
 }
 
-// splitRoot decomposes the mutex expression of a Lock/Unlock call
-// (`recv.mu.Lock()`) into a root (receiver/parameter index) and the
-// selector path below it ("" if the root IS the mutex).
-func splitRoot(pkg *Package, call ast.Expr, roots map[types.Object]int) (int, string, bool) {
-	ce, ok := unparen(call).(*ast.CallExpr)
-	if !ok {
-		return 0, "", false
+func setHeld(f lockFact, k string, acquire bool, pos token.Pos) {
+	if !acquire {
+		delete(f, k)
+	} else if _, held := f[k]; !held {
+		f[k] = pos
 	}
-	sel, ok := ce.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, "", false
+}
+
+// lockPath names a mutex relative to a function's frame: rooted at the
+// receiver (root == -1) or a parameter (root == index), with the printed
+// selector path below the root (e.g. ".mu"; "" if the root IS the mutex).
+type lockPath struct {
+	root int
+	path string
+}
+
+// pathThrough maps a callee's lockPath through the call site: the root is
+// replaced by the receiver or argument expression, re-rooted in u.
+func pathThrough(u *funcUnit, call *ast.CallExpr, k lockPath) (lockPath, bool) {
+	base := callSiteRoot(call, k.root)
+	if base == nil {
+		return lockPath{}, false
 	}
-	return exprRoot(pkg, sel.X, roots)
+	lp, ok := exprRoot(u, base)
+	lp.path += k.path
+	return lp, ok
+}
+
+// callSiteRoot returns the expression a call binds to a lockPath root:
+// the receiver (root == -1) or argument root, nil if the call form has
+// none.
+func callSiteRoot(call *ast.CallExpr, root int) ast.Expr {
+	if root == -1 {
+		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+			return sel.X
+		}
+		return nil
+	}
+	if root >= len(call.Args) {
+		return nil
+	}
+	return call.Args[root]
+}
+
+// paramRoot returns the receiver (-1) or parameter index obj occupies in
+// u's signature.
+func paramRoot(u *funcUnit, obj types.Object) (int, bool) {
+	if u.obj == nil || obj == nil {
+		return 0, false
+	}
+	sig := u.obj.Type().(*types.Signature)
+	if sig.Recv() == obj {
+		return -1, true
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if sig.Params().At(i) == obj {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // exprRoot decomposes a selector chain (possibly through & and *) into a
-// root (receiver/parameter index) and the printed path below it ("" if
-// the root IS the expression).
-func exprRoot(pkg *Package, e ast.Expr, roots map[types.Object]int) (int, string, bool) {
+// lockPath rooted at one of u's receiver or parameters.
+func exprRoot(u *funcUnit, e ast.Expr) (lockPath, bool) {
 	full := types.ExprString(unparen(e))
 	base := unparen(e)
 	for {
@@ -518,66 +564,45 @@ func exprRoot(pkg *Package, e ast.Expr, roots map[types.Object]int) (int, string
 			base = unparen(x.X)
 		case *ast.UnaryExpr:
 			if x.Op != token.AND {
-				return 0, "", false
+				return lockPath{}, false
 			}
 			base = unparen(x.X)
 		case *ast.Ident:
-			obj := pkg.Info.Uses[x]
-			root, ok := roots[obj]
+			root, ok := paramRoot(u, u.pkg.Info.Uses[x])
 			if !ok {
-				return 0, "", false
+				return lockPath{}, false
 			}
 			path := strings.TrimLeft(full, "&*")
-			return root, strings.TrimPrefix(path, x.Name), true
+			return lockPath{root: root, path: strings.TrimPrefix(path, x.Name)}, true
 		default:
-			return 0, "", false
+			return lockPath{}, false
 		}
 	}
 }
 
-// callLockEffects maps a callee's lock effects through a call site,
-// returning (lock key, acquire, position) triples in the caller's frame.
-func callLockEffects(pkg *Package, call *ast.CallExpr, fx []lockEffect) []appliedLockFX {
-	var recvStr string
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recvStr = types.ExprString(sel.X)
-	}
-	var out []appliedLockFX
+// callLockEffects maps a callee's lockPath effects through a call site
+// into the caller's frame, naming each lock by its printed expression
+// there.
+func callLockEffects(call *ast.CallExpr, fx []lockFX[lockPath]) []lockFX[string] {
+	var out []lockFX[string]
 	for _, e := range fx {
-		var root string
-		if e.root == -1 {
-			if recvStr == "" {
-				continue // receiver effect on a non-method call form
-			}
-			root = recvStr
-		} else {
-			if e.root >= len(call.Args) {
-				continue
-			}
-			root = types.ExprString(call.Args[e.root])
+		if base := callSiteRoot(call, e.key.root); base != nil {
+			out = append(out, lockFX[string]{key: types.ExprString(base) + e.key.path, acquire: e.acquire})
 		}
-		out = append(out, appliedLockFX{key: root + e.path, acquire: e.acquire, pos: call.Pos()})
 	}
 	return out
 }
 
-type appliedLockFX struct {
-	key     string
-	acquire bool
-	pos     token.Pos
+// classKey is computeLockFX's key for class-named locks.
+func classKey(u *funcUnit, mu ast.Expr) (string, bool) {
+	c := lockClass(u.pkg, mu)
+	return c, c != ""
 }
 
-// ---------------------------------------------------------------------------
-// Lock-class summaries (lockorder).
-//
-// Lock identity here is a *class*, not an instance: a struct-field mutex
-// is named by its owning named type plus the field ("core.AggregatorNode.mu",
-// embedded owners resolved through the selection's index path), a
-// package-level mutex by "pkg.var". Classes are global strings, so —
-// unlike the root/path lockEffect form above, which exists to map
-// instances through call sites — class effects propagate through call
-// edges with no argument mapping at all. Local mutexes have no class and
-// are invisible to the order graph.
+// classThrough is the identity: lock classes are instance-independent.
+func classThrough(_ *funcUnit, _ *ast.CallExpr, class string) (string, bool) {
+	return class, true
+}
 
 // lockClass names the lock class of a mutex-valued expression, or "" if
 // the expression has no class (locals, unresolvable chains).
@@ -629,115 +654,12 @@ func derefType(t types.Type) types.Type {
 // mutexClassOp matches a mutex Lock/RLock/Unlock/RUnlock call whose lock
 // has a resolvable class.
 func mutexClassOp(pkg *Package, e ast.Expr) (class, name string, ok bool) {
-	if _, n, isOp := mutexOp(pkg, e); isOp {
-		call := unparen(e).(*ast.CallExpr)
-		sel := call.Fun.(*ast.SelectorExpr)
-		if c := lockClass(pkg, sel.X); c != "" {
+	if mu, n, isOp := mutexOp(pkg, e); isOp {
+		if c := lockClass(pkg, mu); c != "" {
 			return c, n, true
 		}
 	}
 	return "", "", false
-}
-
-// classFX is one net class-level lock effect a function performs for its
-// caller. The same cancellation discipline as lockEffect applies, but no
-// call-site mapping is needed: classes are instance-independent.
-type classFX struct {
-	class   string
-	acquire bool
-}
-
-// computeClassFX mirrors computeLockFX at class granularity: the net lock
-// classes a function leaves held (or releases), to a fixpoint over call
-// edges.
-func computeClassFX(units []*funcUnit) map[*types.Func][]classFX {
-	out := make(map[*types.Func][]classFX)
-	for iter := 0; iter < 10; iter++ {
-		next := make(map[*types.Func][]classFX)
-		for _, u := range units {
-			if u.obj == nil {
-				continue
-			}
-			if fx := unitClassFX(u, out); len(fx) > 0 {
-				next[u.obj] = fx
-			}
-		}
-		if classFXStable(out, next) {
-			return next
-		}
-		out = next
-	}
-	return out
-}
-
-func unitClassFX(u *funcUnit, summaries map[*types.Func][]classFX) []classFX {
-	var fx []classFX
-	apply := func(class string, acquire bool) {
-		for i := len(fx) - 1; i >= 0; i-- {
-			if fx[i].class == class && fx[i].acquire != acquire {
-				fx = append(fx[:i], fx[i+1:]...)
-				return
-			}
-		}
-		fx = append(fx, classFX{class: class, acquire: acquire})
-	}
-	callFX := func(call *ast.CallExpr, releasesOnly bool) {
-		callee := calleeFunc(u.pkg, call)
-		if callee == nil {
-			return
-		}
-		for _, e := range summaries[callee] {
-			if releasesOnly && e.acquire {
-				continue
-			}
-			apply(e.class, e.acquire)
-		}
-	}
-	syncWalk(u.body(), func(n ast.Node) {
-		switch st := n.(type) {
-		case *ast.ExprStmt:
-			if class, name, ok := mutexClassOp(u.pkg, st.X); ok {
-				apply(class, name == "Lock" || name == "RLock")
-				return
-			}
-			if call, ok := unparen(st.X).(*ast.CallExpr); ok {
-				callFX(call, false)
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range st.Rhs {
-				if call, ok := unparen(rhs).(*ast.CallExpr); ok {
-					callFX(call, false)
-				}
-			}
-		case *ast.DeferStmt:
-			if class, name, ok := mutexClassOp(u.pkg, st.Call); ok {
-				if name == "Unlock" || name == "RUnlock" {
-					apply(class, false)
-				}
-				return
-			}
-			callFX(st.Call, true)
-		}
-	})
-	return fx
-}
-
-func classFXStable(a, b map[*types.Func][]classFX) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f, afx := range a {
-		bfx, ok := b[f]
-		if !ok || len(afx) != len(bfx) {
-			return false
-		}
-		for i := range afx {
-			if afx[i] != bfx[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // acqWitness records where a summarized acquisition actually happens, for

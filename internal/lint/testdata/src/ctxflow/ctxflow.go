@@ -1,4 +1,4 @@
-// Package core poses as deta/internal/core for the ctxflow fixture.
+// Package core poses as deta/internal/core for ctxplumb's I/O rule.
 // Exported functions that transitively perform network I/O on their
 // synchronous path must take a context.Context so callers can bound the
 // operation; goroutine bodies, interface-pinned method names, and
@@ -15,7 +15,7 @@ type Endpoint struct {
 }
 
 // Connect dials with no way for the caller to bound it.
-func (e *Endpoint) Connect(addr string) error { // want ctxflow
+func (e *Endpoint) Connect(addr string) error { // want ctxplumb
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -43,7 +43,7 @@ func (e *Endpoint) send(b []byte) error {
 }
 
 // Broadcast transitively writes to the network through send.
-func (e *Endpoint) Broadcast(b []byte) error { // want ctxflow
+func (e *Endpoint) Broadcast(b []byte) error { // want ctxplumb
 	return e.send(b)
 }
 

@@ -1,7 +1,7 @@
 // Package core poses as deta/internal/core for the replaypure fixture:
-// nondeterminism sources are findings only inside functions transitively
-// reachable from the replay roots (RecoverAggregatorNode here); the same
-// constructs in unreachable functions are fine (see replaypure_clean.go).
+// global rand and goroutines are findings only inside functions
+// transitively reachable from the replay roots (RecoverAggregatorNode
+// here); see the replaypure_unscoped fixture for the unreachable side.
 package core
 
 import (
@@ -44,8 +44,8 @@ func jitter(n *node) {
 	n.sum += r.Float64()
 }
 
-// accumulate folds map values in iteration order: the maporder checks
-// rerun under replaypure's name inside the reachable set.
+// accumulate folds map values in iteration order, and reaches replay, so
+// the finding names its root.
 func (n *node) accumulate() {
 	for _, v := range n.vals {
 		n.sum += v // want replaypure
